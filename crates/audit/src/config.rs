@@ -209,13 +209,13 @@ impl AuditConfig {
                 // serving cannot afford to let regress: extraction,
                 // operand generation, canonical hashing, pricing.
                 s("features_for_request"),
-                s("first_seed_group_operands"),
+                s("member_seed_operands"),
                 s("canonical_key"),
                 s("pack_ffd"),
-                // The member-granular memo keys sit on the same
+                // The member-seed unit keys sit on the same
                 // pre-execution path as canonical_key.
                 s("member_request_key"),
-                s("member_activity_key"),
+                s("unit_key"),
             ],
             metric_readme_heading: s("#### Metrics"),
             metric_consumer_files: vec![s("src/serving_bench.rs"), s("examples/wattd_load.rs")],

@@ -86,78 +86,30 @@ pub fn member_ordinals(req: &RunRequest) -> Vec<(GemmDims, u64)> {
         .collect()
 }
 
-/// Generate the operands of a request's **first seed** (seed index 0) —
-/// exactly the matrices [`PowerLab::run`] executes for `s = 0` (for a
-/// grouped request: its first member; see
-/// [`first_seed_group_operands`] for the whole group).
+/// Generate one canonical member's operand pair at seed index `seed` —
+/// the single source of the operand contract. Everything that walks
+/// request data comes through here: the fleet's unit store (which folds
+/// the feature chunk and simulates the activity of each member-seed
+/// unit in one pass), the `wm-predict` feature extractor, and
+/// [`PowerLab::run`]. A change to the seed derivation therefore reaches
+/// every consumer at once instead of silently diverging.
 ///
-/// For GEMM requests A is `n x k` and the stored B pattern follows the
-/// transposition flag (`m x k` transposed — the paper's default — or
-/// `k x m`); for GEMV requests the second operand is the `k x 1` input
-/// vector `x` (same decorrelated pattern stream, vector shape).
-///
-/// This is the single source of the first-seed contract: the fleet's
-/// activity probe and the `wm-predict` feature extractor both walk these
-/// operands, so any change to the seed derivation here automatically
-/// propagates to every consumer instead of silently diverging.
-pub fn first_seed_operands(req: &RunRequest) -> (Matrix, Matrix) {
-    let streams = seed_streams(req.base_seed, 0);
-    // The first member in *effective* canonical order — what the run
-    // actually executes as member 0. (`dims()` would hand back the raw
-    // canonical head, which can differ for grouped GEMV requests whose
-    // execution-ignored raw `m` values reorder the sort.)
-    let member = if req.is_grouped() {
-        req.member_dims()[0]
-    } else {
-        req.dims()
-    };
-    generate_member_operands(req, member, 0, &streams)
-}
-
-/// Generate the first seed's operand pair of **one member**, addressed by
-/// its effective dims and duplicate ordinal (see [`member_ordinals`]) —
-/// the member-granular slice of [`first_seed_group_operands`], used to
-/// build per-member feature chunks that cache across requests. A member
-/// of ordinal 0 yields exactly [`first_seed_operands`] of the equivalent
-/// plain request.
-pub fn first_seed_member_operands(
+/// The member is addressed by its effective dims and duplicate ordinal
+/// (see [`member_ordinals`]). A comes from fork `2 * ordinal` of the
+/// seed's A root; the B matrix — or GEMV's `k x 1` input vector x — from
+/// fork `2 * ordinal + 1` of its B root. For GEMM, A is `n x k` and the
+/// stored B follows the transposition flag (`m x k` transposed — the
+/// paper's default — or `k x m`). A plain request is its own ordinal-0
+/// member, and every ordinal-0 group member draws exactly what the plain
+/// request of its shape draws, so units computed for one request answer
+/// the others.
+pub fn member_seed_operands(
     req: &RunRequest,
     member: GemmDims,
     ordinal: u64,
+    seed: u64,
 ) -> (Matrix, Matrix) {
-    let streams = seed_streams(req.base_seed, 0);
-    generate_member_operands(req, member, ordinal, &streams)
-}
-
-/// Generate the first seed's operand pairs of **every member** of a
-/// request, in member order — the group generalization of
-/// [`first_seed_operands`] (for a plain request: one pair, identical to
-/// it). Each member draws from its own pair of streams tagged by its
-/// duplicate *ordinal* (forks `2o` and `2o + 1` of the fixed A/B roots),
-/// so twin members never share data while every ordinal-0 member draws
-/// what its own plain request would.
-pub fn first_seed_group_operands(req: &RunRequest) -> Vec<(Matrix, Matrix)> {
-    let streams = seed_streams(req.base_seed, 0);
-    let members = req.member_dims();
-    members
-        .iter()
-        .enumerate()
-        .map(|(i, &m)| generate_member_operands(req, m, ordinal_at(&members, i), &streams))
-        // audit:allow(hot-path-alloc): the operand pairs are this function's product
-        .collect()
-}
-
-/// Generate one member's operand pair from the seed's fixed stream roots
-/// (A from fork `2 * ordinal` of the A root, the B matrix — or GEMV's x
-/// vector — from fork `2 * ordinal + 1` of the B root; a plain request is
-/// ordinal 0, so its forks are the historical 0 and 1 of the historical
-/// draws).
-fn generate_member_operands(
-    req: &RunRequest,
-    member: GemmDims,
-    ordinal: u64,
-    streams: &SeedStreams,
-) -> (Matrix, Matrix) {
+    let streams = seed_streams(req.base_seed, seed);
     let mut a_root = streams.a_root;
     let a = req
         .pattern_a
@@ -174,40 +126,21 @@ fn generate_member_operands(
     (a, b)
 }
 
-/// Simulate one member's activity for **every seed** of `req` — the unit
-/// of member-level memo caching (`per_member[s]` is seed `s`'s record).
-///
-/// The records are bit-identical to what [`PowerLab::run`] simulates for
-/// this member, and device-independent (activity simulation never reads
-/// the GPU spec), so one cached entry answers the member on every device
-/// and VM instance. The entry is keyed by the request's shared knobs plus
-/// `(member, ordinal)`; notably a plain request is `(dims, 0)`, so single
-/// requests warm the cache for the groups that contain them.
-pub fn member_seed_activities(
+/// [`member_seed_operands`] at seed index 0: the operands feature
+/// extraction and the analytic probe walk.
+pub fn first_seed_member_operands(
     req: &RunRequest,
     member: GemmDims,
     ordinal: u64,
-) -> Vec<ActivityRecord> {
-    (0..req.seeds)
-        .map(|s| {
-            let streams = seed_streams(req.base_seed, s);
-            let (a, b) = generate_member_operands(req, member, ordinal, &streams);
-            simulate_member_activity(req, member, &a, &b)
-        })
-        .collect()
+) -> (Matrix, Matrix) {
+    member_seed_operands(req, member, ordinal, 0)
 }
 
-/// Simulate one seed's kernel execution and return its activity record
-/// (the shared probe contract: placement's activity probe and the run
-/// pipeline both come through here). For grouped requests this is the
-/// per-member step — see [`simulate_member_activity`].
-pub fn simulate_request_activity(req: &RunRequest, a: &Matrix, b: &Matrix) -> ActivityRecord {
-    simulate_member_activity(req, req.dims(), a, b)
-}
-
-/// Simulate one group member's kernel execution: the request supplies the
-/// shared configuration (kernel, dtype, transposition, sampling), the
-/// member its own `n x m x k`.
+/// Simulate one member's kernel execution over its operands (from
+/// [`member_seed_operands`]): the request supplies the shared
+/// configuration (kernel, dtype, transposition, sampling), the member its
+/// own `n x m x k`. Activity never reads the GPU spec, so one record
+/// serves every device and VM instance.
 pub fn simulate_member_activity(
     req: &RunRequest,
     member: GemmDims,
@@ -617,17 +550,22 @@ impl PowerLab {
         &self.vm
     }
 
-    /// Execute a request: per member, generate every seed's operands and
-    /// simulate ([`member_seed_activities`]); then evaluate and measure
-    /// through [`PowerLab::run_from_activities`] (a grouped request's
-    /// members run back-to-back as one unit — energies and runtimes sum,
-    /// the governor resolves once), and average over seeds.
+    /// Execute a request: per member and seed, generate the operands
+    /// ([`member_seed_operands`]) and simulate them; then evaluate and
+    /// measure through [`PowerLab::run_from_activities`] (a grouped
+    /// request's members run back-to-back as one unit — energies and
+    /// runtimes sum, the governor resolves once), and average over seeds.
     pub fn run(&self, req: &RunRequest) -> RunResult {
-        let members = req.member_dims();
-        let per_member: Vec<Vec<ActivityRecord>> = members
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| member_seed_activities(req, m, ordinal_at(&members, i)))
+        let per_member: Vec<Vec<ActivityRecord>> = member_ordinals(req)
+            .into_iter()
+            .map(|(m, ord)| {
+                (0..req.seeds)
+                    .map(|s| {
+                        let (a, b) = member_seed_operands(req, m, ord, s);
+                        simulate_member_activity(req, m, &a, &b)
+                    })
+                    .collect()
+            })
             .collect();
         let refs: Vec<&[ActivityRecord]> = per_member.iter().map(Vec::as_slice).collect();
         self.run_from_activities(req, &refs)
@@ -637,9 +575,9 @@ impl PowerLab {
     /// activity records (`per_member[i][s]`: canonical member `i`, seed
     /// `s`) — the evaluate/measure half of [`PowerLab::run`] with the
     /// O(bytes) simulation half factored out, so members answered from the
-    /// member-level memo cache skip straight here. Feeding it the records
-    /// [`member_seed_activities`] produces (fresh or cached — they are the
-    /// same records) yields a result bit-identical to [`PowerLab::run`]:
+    /// fleet's unit store skip straight here. Feeding it the records
+    /// simulated over [`member_seed_operands`] (fresh or cached — they are
+    /// the same records) yields a result bit-identical to [`PowerLab::run`]:
     /// the measurement seed is fixed per seed index, independent of which
     /// members were freshly simulated.
     ///
@@ -734,6 +672,26 @@ mod tests {
             .with_sampling(Sampling::Lattice { rows: 8, cols: 8 })
     }
 
+    /// The first-seed operands of a request's first effective member.
+    fn first_seed_operands(req: &RunRequest) -> (Matrix, Matrix) {
+        first_seed_member_operands(req, req.member_dims()[0], 0)
+    }
+
+    /// One member's activity at every seed, walked through the
+    /// seed-index entry point.
+    fn member_seed_activities(
+        req: &RunRequest,
+        member: GemmDims,
+        ordinal: u64,
+    ) -> Vec<ActivityRecord> {
+        (0..req.seeds)
+            .map(|s| {
+                let (a, b) = member_seed_operands(req, member, ordinal, s);
+                simulate_member_activity(req, member, &a, &b)
+            })
+            .collect()
+    }
+
     #[test]
     fn run_produces_consistent_statistics() {
         let lab = PowerLab::new(a100_pcie());
@@ -757,14 +715,17 @@ mod tests {
         let req = quick(DType::Fp16Tensor, PatternKind::Sparse { sparsity: 0.4 }).with_seeds(1);
         let r = PowerLab::new(a100_pcie()).run(&req);
         let (a, b) = first_seed_operands(&req);
-        let act = simulate_request_activity(&req, &a, &b);
+        let act = simulate_member_activity(&req, req.dims(), &a, &b);
         assert_eq!(r.activity, act);
         // Same contract for the GEMV kernel family.
         let req = req.with_kernel(KernelClass::Gemv);
         let r = PowerLab::new(a100_pcie()).run(&req);
         let (a, x) = first_seed_operands(&req);
         assert_eq!(x.cols(), 1, "GEMV streams a vector operand");
-        assert_eq!(r.activity, simulate_request_activity(&req, &a, &x));
+        assert_eq!(
+            r.activity,
+            simulate_member_activity(&req, req.dims(), &a, &x)
+        );
     }
 
     #[test]
@@ -1011,10 +972,20 @@ mod tests {
         // member index feeds the fork tags.
         let req = quick(DType::Fp16Tensor, PatternKind::Gaussian)
             .with_group(vec![GemmDims::square(64), GemmDims::square(64)]);
-        let ops = first_seed_operands(&req);
-        let all = super::first_seed_group_operands(&req);
+        let all: Vec<(Matrix, Matrix)> = member_ordinals(&req)
+            .into_iter()
+            .map(|(m, ord)| first_seed_member_operands(&req, m, ord))
+            .collect();
         assert_eq!(all.len(), 2);
-        assert_eq!(all[0], ops, "member 0 is the first-seed contract");
+        assert_eq!(
+            all[0],
+            first_seed_member_operands(
+                &req.clone().with_group(vec![GemmDims::square(64)]),
+                GemmDims::square(64),
+                0
+            ),
+            "member 0 draws what the plain request of its shape draws"
+        );
         assert_ne!(all[0].0, all[1].0, "twin members must not share A");
         assert_ne!(all[0].1, all[1].1, "twin members must not share B");
     }

@@ -25,13 +25,12 @@
 
 use crate::profile::RunProfile;
 use crate::runner::{FigureResult, PointStat, Series};
-use wm_core::RunRequest;
-use wm_fleet::probe_activity;
+use wm_core::{first_seed_member_operands, simulate_member_activity, RunRequest};
 use wm_gpu::spec::a100_pcie;
 use wm_kernels::KernelClass;
 use wm_numerics::DType;
 use wm_patterns::{PatternKind, PatternSpec};
-use wm_power::evaluate_group;
+use wm_power::evaluate;
 use wm_predict::{features_for_request, PowerPredictor};
 
 /// Training-volume checkpoints (observations seen so far).
@@ -118,7 +117,12 @@ fn request(profile: &RunProfile, kind: PatternKind, seed: u64) -> RunRequest {
 /// Ground truth: the analytic power model on the request's first-seed
 /// activity — exactly what the `wattd` acceptance test compares against.
 fn model_watts(req: &RunRequest) -> f64 {
-    evaluate_group(&a100_pcie(), &probe_activity(req)).total_w
+    let (a, b) = first_seed_member_operands(req, req.dims(), 0);
+    evaluate(
+        &a100_pcie(),
+        &simulate_member_activity(req, req.dims(), &a, &b),
+    )
+    .total_w
 }
 
 /// Execute all three sweeps: the per-family error-vs-volume figure, the

@@ -12,21 +12,27 @@
 //!
 //! * the **result store** (`canonical_key -> Arc<RunResult>`): whole
 //!   requests, device- and VM-specific;
-//! * the **member store** (`member_activity_key -> Arc<Vec<ActivityRecord>>`):
-//!   one canonical group member's per-seed activity records, the unit the
-//!   O(bytes) simulation actually produces. Activity is device-independent,
-//!   so one member entry serves every device, and — because the seed
-//!   derivation fixes a member's operand streams by `(dims, ordinal)`
-//!   alone — a plain single request and a group containing the same member
-//!   share the entry. A grouped request answers covered members from here
-//!   and simulates only the *residue*.
+//! * the **unit store** (`unit_key -> Arc<SeedUnit>`): one canonical
+//!   member's operand streams at one seed index — the only unit of
+//!   O(bytes) work. Its operands are generated once, walked once (the
+//!   seed-0 unit also folds the member's feature chunk), and dropped;
+//!   the unit keeps what the walk produced. Activity is
+//!   device-independent, so one unit serves every device, and — because
+//!   the seed derivation fixes a member's operand streams by
+//!   `(dims, ordinal)` alone — a plain single request and a group
+//!   containing the same member share it. Features, the analytic probe,
+//!   and execution are all views over these units.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use wm_core::RunResult;
+use wm_core::{member_seed_operands, simulate_member_activity, RunRequest, RunResult};
+use wm_gpu::GemmDims;
 use wm_kernels::ActivityRecord;
+use wm_predict::FeatureAccumulator;
+
+use crate::hash::{member_request_key, unit_key};
 
 enum Slot<T> {
     /// A worker is computing this entry; waiters sleep on the shard condvar.
@@ -183,7 +189,8 @@ impl<T> ShardSet<T> {
         (value, Fetch::Computed)
     }
 
-    fn ready_len(&self) -> usize {
+    /// Number of ready entries satisfying `keep`.
+    fn ready_count(&self, keep: impl Fn(&T) -> bool) -> usize {
         self.shards
             .iter()
             .map(|s| {
@@ -191,37 +198,77 @@ impl<T> ShardSet<T> {
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .values()
-                    .filter(|v| matches!(v, Slot::Ready(_)))
+                    .filter(|v| matches!(v, Slot::Ready(x) if keep(x)))
                     .count()
             })
             .sum()
     }
 }
 
-/// Sharded memo cache: whole-request results plus the member-granular
-/// activity index grouped requests draw partial reuse from.
+/// One computed unit of work: a canonical member's operand streams at one
+/// seed index. The operands themselves are gone by the time the unit is
+/// stored; it keeps what walking them produced.
+#[derive(Debug)]
+pub struct SeedUnit {
+    /// The member's switching activity at this seed.
+    pub activity: ActivityRecord,
+    /// The member's feature chunk — seed 0 only, because features walk
+    /// the first seed. Boxed: an accumulator is tens of kilobytes, and
+    /// the other seeds' units should not carry its footprint.
+    pub chunk: Option<Box<FeatureAccumulator>>,
+    /// Whether an executing run has consumed this unit yet.
+    executed: AtomicBool,
+}
+
+impl SeedUnit {
+    /// A freshly computed unit. `executed` is true when the run that
+    /// consumes it computed it, false when pricing computed it ahead of
+    /// any run. Built after the operands are dropped, so the long-lived
+    /// allocations do not pin the heap the operands occupied.
+    fn new(activity: ActivityRecord, chunk: Option<FeatureAccumulator>, executed: bool) -> Self {
+        Self {
+            activity,
+            chunk: chunk.map(Box::new),
+            executed: AtomicBool::new(executed),
+        }
+    }
+
+    /// Mark the unit consumed by an executing run. Returns whether an
+    /// earlier run already had: the first run to execute a unit — whoever
+    /// computed it — owns it as a residue job, later runs reuse it.
+    pub fn claim(&self) -> bool {
+        self.executed.swap(true, Ordering::Relaxed)
+    }
+}
+
+/// Sharded memo cache: whole-request results plus the member-seed units
+/// every request's features, probe, and execution read.
 pub struct MemoCache {
     results: ShardSet<RunResult>,
-    members: ShardSet<Vec<ActivityRecord>>,
+    units: ShardSet<SeedUnit>,
     hits: AtomicU64,
     misses: AtomicU64,
     joins: AtomicU64,
     member_hits: AtomicU64,
     member_residues: AtomicU64,
+    operand_bytes: AtomicU64,
+    activity_sims: AtomicU64,
 }
 
 impl MemoCache {
     /// A cache with `shards` shards (rounded up to a power of two) in each
-    /// of the result and member stores.
+    /// of the result and unit stores.
     pub fn new(shards: usize) -> Self {
         Self {
             results: ShardSet::new(shards),
-            members: ShardSet::new(shards),
+            units: ShardSet::new(shards),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             joins: AtomicU64::new(0),
             member_hits: AtomicU64::new(0),
             member_residues: AtomicU64::new(0),
+            operand_bytes: AtomicU64::new(0),
+            activity_sims: AtomicU64::new(0),
         }
     }
 
@@ -286,47 +333,56 @@ impl MemoCache {
         }
     }
 
-    /// Whether a member's activity unit is ready. Uncounted, like
-    /// [`Self::contains`].
-    pub fn member_contains(&self, key: u64) -> bool {
-        self.members.contains(key)
+    /// One canonical member's unit at seed index `seed`, from the store
+    /// or computed here in one pass — generate the operands, fold the
+    /// feature chunk (seed 0 only), simulate the activity, drop the
+    /// operands — and published for every later reader. Concurrent callers
+    /// (twin requests, or a single and a group sharing the member) dedup
+    /// exactly like result entries: one computation, everyone else joins.
+    /// `executing` marks a call from the run that consumes the unit (see
+    /// [`SeedUnit::claim`]). Returns the unit and whether this call
+    /// computed it.
+    pub fn unit(
+        &self,
+        req: &RunRequest,
+        (member, ordinal): (GemmDims, u64),
+        seed: u64,
+        executing: bool,
+    ) -> (Arc<SeedUnit>, bool) {
+        let key = unit_key(member_request_key(req, member, ordinal), seed);
+        let (unit, fetch) = self.units.get_or_compute(key, || {
+            let (a, b) = member_seed_operands(req, member, ordinal, seed);
+            let chunk = (seed == 0).then(|| {
+                let mut acc = FeatureAccumulator::new(req.dtype);
+                acc.add_matrix(&a);
+                acc.add_matrix(&b);
+                acc
+            });
+            let activity = simulate_member_activity(req, member, &a, &b);
+            let bytes = (a.len() + b.len()) * std::mem::size_of::<f32>();
+            drop((a, b));
+            self.operand_bytes
+                .fetch_add(bytes as u64, Ordering::Relaxed);
+            self.activity_sims.fetch_add(1, Ordering::Relaxed);
+            SeedUnit::new(activity, chunk, executing)
+        });
+        (unit, matches!(fetch, Fetch::Computed))
     }
 
-    /// Non-blocking member lookup: `Some` (counted as a member hit) iff
-    /// the activity unit is ready.
-    pub fn member_peek(&self, key: u64) -> Option<Arc<Vec<ActivityRecord>>> {
-        let v = self.members.peek(key)?;
-        self.member_hits.fetch_add(1, Ordering::Relaxed);
-        Some(v)
-    }
-
-    /// Member-granular [`Self::get_or_compute`]: answer a canonical group
-    /// member's per-seed activity records from cache, or simulate the
-    /// *residue job* and publish it. Concurrent callers — a single request
-    /// and a group sharing the member, or two overlapping groups — dedup
-    /// exactly like result entries: one simulation, everyone else joins
-    /// and counts as a member hit. Returns the unit and whether it was
-    /// served from cache.
-    pub fn member_get_or_compute<F>(&self, key: u64, compute: F) -> (Arc<Vec<ActivityRecord>>, bool)
-    where
-        F: FnOnce() -> Vec<ActivityRecord>,
-    {
-        let (value, fetch) = self.members.get_or_compute(key, compute);
-        match fetch {
-            Fetch::Computed => {
-                self.member_residues.fetch_add(1, Ordering::Relaxed);
-                (value, false)
-            }
-            Fetch::Hit | Fetch::Joined => {
-                self.member_hits.fetch_add(1, Ordering::Relaxed);
-                (value, true)
-            }
-        }
+    /// Count one executed member: a member hit when every unit it read was
+    /// owned by an earlier run, a residue job otherwise.
+    pub fn record_member(&self, cached: bool) {
+        let counter = if cached {
+            &self.member_hits
+        } else {
+            &self.member_residues
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of *ready* result entries across all shards.
     pub fn len(&self) -> usize {
-        self.results.ready_len()
+        self.results.ready_count(|_| true)
     }
 
     /// Whether the cache holds no ready result entries.
@@ -334,9 +390,15 @@ impl MemoCache {
         self.len() == 0
     }
 
-    /// Number of *ready* member activity units across all shards.
-    pub fn member_len(&self) -> usize {
-        self.members.ready_len()
+    /// Number of *ready* member-seed units across all shards.
+    pub fn unit_len(&self) -> usize {
+        self.units.ready_count(|_| true)
+    }
+
+    /// Number of *ready* seed-0 units (the ones carrying a feature chunk):
+    /// the distinct member streams probed so far.
+    pub fn probe_len(&self) -> usize {
+        self.units.ready_count(|u| u.chunk.is_some())
     }
 
     /// Calls served from cache (including in-flight joins).
@@ -354,14 +416,25 @@ impl MemoCache {
         self.joins.load(Ordering::Relaxed)
     }
 
-    /// Member lookups answered from a prior request's activity unit.
+    /// Executed members answered entirely from units earlier runs owned.
     pub fn member_hits(&self) -> u64 {
         self.member_hits.load(Ordering::Relaxed)
     }
 
-    /// Member units that had to be simulated (residue jobs).
+    /// Executed members that owned at least one unit (residue jobs).
     pub fn member_residues(&self) -> u64 {
         self.member_residues.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of operand matrices generated (f32 storage), over every unit
+    /// computed.
+    pub fn operand_bytes(&self) -> u64 {
+        self.operand_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Activity simulations run: one per unit computed.
+    pub fn activity_sims(&self) -> u64 {
+        self.activity_sims.load(Ordering::Relaxed)
     }
 }
 
@@ -369,7 +442,7 @@ impl MemoCache {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use wm_core::{member_seed_activities, PowerLab, RunRequest};
+    use wm_core::{PowerLab, RunRequest};
     use wm_gpu::spec::a100_pcie;
     use wm_kernels::Sampling;
     use wm_numerics::DType;
@@ -383,11 +456,6 @@ mod tests {
 
     fn quick_result() -> RunResult {
         PowerLab::new(a100_pcie()).run(&quick_request())
-    }
-
-    fn quick_unit() -> Vec<ActivityRecord> {
-        let req = quick_request();
-        member_seed_activities(&req, req.dims(), 0)
     }
 
     #[test]
@@ -447,51 +515,57 @@ mod tests {
     }
 
     #[test]
-    fn member_store_counts_residues_and_hits_independently() {
+    fn unit_store_is_separate_from_the_result_store() {
         let cache = MemoCache::new(8);
-        let (a, hit_a) = cache.member_get_or_compute(11, quick_unit);
-        let (b, hit_b) = cache.member_get_or_compute(11, quick_unit);
-        assert!(!hit_a, "first member lookup is a residue job");
-        assert!(hit_b, "second member lookup reuses the unit");
+        let req = quick_request();
+        let walk = (req.dims(), 0);
+        let (a, computed_a) = cache.unit(&req, walk, 0, false);
+        let (b, computed_b) = cache.unit(&req, walk, 0, true);
+        assert!(computed_a, "first unit lookup computes");
+        assert!(!computed_b, "second unit lookup reuses the unit");
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.member_residues(), 1);
-        assert_eq!(cache.member_hits(), 1);
-        assert_eq!(cache.member_len(), 1);
-        assert!(cache.member_contains(11));
-        assert!(!cache.member_contains(12));
-        // member_peek counts; member_contains does not.
-        assert!(cache.member_peek(11).is_some());
-        assert_eq!(cache.member_hits(), 2);
-        // The member store never touches the result-store counters and
-        // vice versa.
+        assert!(a.chunk.is_some(), "seed 0 folds the feature chunk");
+        let (c, _) = cache.unit(&req.clone().with_seeds(2), walk, 1, true);
+        assert!(c.chunk.is_none(), "later seeds carry no chunk");
+        assert_eq!(cache.unit_len(), 2);
+        assert_eq!(cache.probe_len(), 1, "only seed-0 units are probes");
+        assert_eq!(cache.activity_sims(), 2);
+        assert_eq!(cache.operand_bytes(), 2 * 2 * 64 * 64 * 4);
+        // The first claim owns the unit; later claims reuse it. A unit
+        // computed by its executing run is born claimed.
+        assert!(!a.claim());
+        assert!(b.claim());
+        assert!(c.claim());
+        cache.record_member(false);
+        cache.record_member(true);
+        assert_eq!((cache.member_hits(), cache.member_residues()), (1, 1));
+        // The unit store never touches the result-store counters.
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 0);
         assert!(cache.is_empty());
     }
 
     #[test]
-    fn concurrent_member_lookups_simulate_once() {
-        let cache = Arc::new(MemoCache::new(8));
-        let computed = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..6 {
-            let cache = Arc::clone(&cache);
-            let computed = Arc::clone(&computed);
-            handles.push(std::thread::spawn(move || {
-                let (v, _) = cache.member_get_or_compute(3, || {
-                    computed.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    quick_unit()
-                });
-                v.len()
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 1, "one record per seed");
-        }
-        assert_eq!(computed.load(Ordering::Relaxed), 1, "member dedup failed");
-        assert_eq!(cache.member_residues(), 1);
-        assert_eq!(cache.member_hits(), 5);
+    fn concurrent_unit_lookups_compute_once() {
+        let cache = MemoCache::new(8);
+        let req = quick_request();
+        let macs: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..6)
+                .map(|_| {
+                    s.spawn(|| {
+                        cache
+                            .unit(&req, (req.dims(), 0), 0, false)
+                            .0
+                            .activity
+                            .total_macs
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(macs.windows(2).all(|w| w[0] == w[1]));
+        assert_eq!(cache.activity_sims(), 1, "unit dedup failed");
+        assert_eq!(cache.unit_len(), 1);
     }
 
     #[test]

@@ -245,15 +245,14 @@ pub fn write_request(h: &mut CanonicalHasher, req: &RunRequest) {
     }
 }
 
-/// Device-independent key of a request, used for the placement probe and
-/// feature caches: switching activity does not depend on the device, and
-/// both the probe and the feature extractor walk only the first seed's
-/// operands. Fields that cannot move either — `iterations` (a repeat
-/// count) and `seeds` (how many operand sets a *run* averages) — are
-/// deliberately excluded, so requests differing only in those share one
-/// probe instead of re-simulating it. The full memo key
-/// ([`canonical_key`]) keeps them: they do change a run's averaged
-/// result.
+/// Device-independent key of a request, used for the feature cache and
+/// as the placement tie salt: input features do not depend on the device,
+/// and the extractor walks only the first seed's operands. Fields that
+/// cannot move them — `iterations` (a repeat count) and `seeds` (how many
+/// operand sets a *run* averages) — are deliberately excluded, so
+/// requests differing only in those share one feature vector. The full
+/// memo key ([`canonical_key`]) keeps them: they do change a run's
+/// averaged result.
 pub fn request_key(req: &RunRequest) -> u64 {
     let mut h = CanonicalHasher::new();
     write_activity_fields(&mut h, req);
@@ -271,21 +270,23 @@ pub fn canonical_key(req: &RunRequest, gpu: &GpuSpec, vm_id: u64) -> u64 {
     h.finish()
 }
 
-// Leading domain tags keep the member-granular keys from ever colliding
-// with each other or with the request-level folds above (which start with
-// a 0/1 kernel tag byte).
-const MEMBER_REQUEST_DOMAIN: u8 = 0xA1;
-const MEMBER_ACTIVITY_DOMAIN: u8 = 0xA2;
+// A leading domain tag keeps the member-granular keys from ever colliding
+// with the request-level folds above (which start with a 0/1 kernel tag
+// byte).
+const MEMBER_DOMAIN: u8 = 0xA1;
 
-/// Fold the knobs that determine one canonical member's operand streams:
-/// the request-wide data shapers (kernel, dtype, patterns, transpose,
-/// base seed, sampling) plus the member's *effective* dims and its
-/// ordinal among equal-dims members in canonical order. Deliberately no
-/// group-structure fields: the seed derivation fixes each member's
-/// streams by `(dims, ordinal)` alone, so the same member inside any
-/// group — or standing alone as a plain request (ordinal 0) — draws the
-/// same data and may share one cache entry.
-fn write_member_fields(h: &mut CanonicalHasher, req: &RunRequest, member: GemmDims, ordinal: u64) {
+/// Device-independent key of one canonical member's operand streams: the
+/// request-wide data shapers (kernel, dtype, patterns, transpose, base
+/// seed, sampling) plus the member's *effective* dims and its ordinal
+/// among equal-dims members in canonical order. Deliberately no
+/// group-structure fields and no `seeds`/`iterations`: the seed
+/// derivation fixes each member's streams by `(dims, ordinal)` alone, so
+/// the same member inside any group — or standing alone as a plain
+/// request (ordinal 0) — draws the same data. That aliasing is the point:
+/// single-request work answers group members and vice versa.
+pub fn member_request_key(req: &RunRequest, member: GemmDims, ordinal: u64) -> u64 {
+    let mut h = CanonicalHasher::new();
+    h.write_u8(MEMBER_DOMAIN);
     h.write_u8(match req.kernel {
         KernelClass::Gemm => 0,
         KernelClass::Gemv => 1,
@@ -295,36 +296,22 @@ fn write_member_fields(h: &mut CanonicalHasher, req: &RunRequest, member: GemmDi
     h.write_usize(member.m);
     h.write_usize(member.k);
     h.write_u64(ordinal);
-    write_pattern(h, &req.pattern_a);
-    write_pattern(h, &req.pattern_b);
+    write_pattern(&mut h, &req.pattern_a);
+    write_pattern(&mut h, &req.pattern_b);
     h.write_bool(req.b_transposed);
     h.write_u64(req.base_seed);
-    write_sampling(h, req.sampling);
-}
-
-/// Device-independent key of one canonical member's first-seed operand
-/// stream, used for the member-granular feature-chunk cache. No `seeds`
-/// fold — feature extraction walks only the first seed, so requests
-/// differing only in seed count share each member's chunk. A plain
-/// request's single member is `(req.dims(), 0)` and hashes identically
-/// to a group member of those dims at ordinal 0: that aliasing is the
-/// point — single-request work answers group members and vice versa.
-pub fn member_request_key(req: &RunRequest, member: GemmDims, ordinal: u64) -> u64 {
-    let mut h = CanonicalHasher::new();
-    h.write_u8(MEMBER_REQUEST_DOMAIN);
-    write_member_fields(&mut h, req, member, ordinal);
+    write_sampling(&mut h, req.sampling);
     h.finish()
 }
 
-/// Key of one canonical member's full per-seed activity unit (one
-/// [`wm_kernels::ActivityRecord`] per seed): the member stream fields
-/// plus `seeds`. Device-independent — simulation never reads the
-/// `GpuSpec` — so one entry serves every device and VM in the fleet.
-pub fn member_activity_key(req: &RunRequest, member: GemmDims, ordinal: u64) -> u64 {
-    let mut h = CanonicalHasher::new();
-    h.write_u8(MEMBER_ACTIVITY_DOMAIN);
-    write_member_fields(&mut h, req, member, ordinal);
-    h.write_u64(req.seeds);
+/// Key of one computed unit — a member's operand streams at one seed
+/// index: the [`member_request_key`] fold continued with `seed`. A
+/// request's seed `s` draws the same data whatever its seed count, so
+/// requests differing only in `seeds` share every unit they have in
+/// common.
+pub fn unit_key(member_key: u64, seed: u64) -> u64 {
+    let mut h = CanonicalHasher { state: member_key };
+    h.write_u64(seed);
     h.finish()
 }
 
@@ -413,9 +400,9 @@ mod tests {
 
     #[test]
     fn probe_key_ignores_iterations_and_seed_count() {
-        // The probe and feature caches walk only the first seed's
-        // operands; neither `iterations` nor `seeds` changes that data,
-        // so requests differing only there must share one probe entry.
+        // The feature cache walks only the first seed's operands; neither
+        // `iterations` nor `seeds` changes that data, so requests
+        // differing only there must share one entry.
         let base = request_key(&req());
         assert_eq!(base, request_key(&req().with_iterations(100)));
         assert_eq!(base, request_key(&req().with_iterations(20_000)));
@@ -554,21 +541,16 @@ mod tests {
             canonical_key(&spelled_a, &g, 0),
             canonical_key(&spelled_b, &g, 0)
         );
-        // And the executions agree operand-for-operand, so the shared
-        // cache entry is sound — including the single-pair first-seed
-        // contract, which must hand back the *effective* member 0.
-        assert_eq!(
-            wm_core::first_seed_group_operands(&spelled_a),
-            wm_core::first_seed_group_operands(&spelled_b)
-        );
-        assert_eq!(
-            wm_core::first_seed_operands(&spelled_a),
-            wm_core::first_seed_operands(&spelled_b)
-        );
-        assert_eq!(
-            wm_core::first_seed_operands(&spelled_a),
-            wm_core::first_seed_group_operands(&spelled_a)[0].clone()
-        );
+        // And the executions agree operand-for-operand, member by member
+        // in *effective* canonical order, so the shared cache entry is
+        // sound.
+        let operands = |r: &RunRequest| -> Vec<_> {
+            wm_core::member_ordinals(r)
+                .into_iter()
+                .map(|(m, o)| wm_core::first_seed_member_operands(r, m, o))
+                .collect()
+        };
+        assert_eq!(operands(&spelled_a), operands(&spelled_b));
         // A GEMM group with the same raw members does NOT alias: m is
         // load-bearing there.
         let gemm_a = req().with_group(vec![
@@ -617,8 +599,8 @@ mod tests {
     #[test]
     fn member_keys_alias_plain_and_group_spellings() {
         // The load-bearing aliasing: a plain request's single member and
-        // the same dims at ordinal 0 inside any group share both member
-        // keys, so single-request cache entries answer group members.
+        // the same dims at ordinal 0 inside any group share every unit
+        // key, so single-request units answer group members.
         let dims = GemmDims {
             n: 256,
             m: 64,
@@ -630,70 +612,45 @@ mod tests {
             member_request_key(&plain, dims, 0),
             member_request_key(&grouped, dims, 0)
         );
-        assert_eq!(
-            member_activity_key(&plain, dims, 0),
-            member_activity_key(&grouped, dims, 0)
-        );
         // Group structure is invisible: a different sibling set changes
         // nothing about this member's keys.
         let other_group = req().with_group(vec![dims, GemmDims::square(32)]);
         assert_eq!(
-            member_activity_key(&grouped, dims, 0),
-            member_activity_key(&other_group, dims, 0)
+            member_request_key(&grouped, dims, 0),
+            member_request_key(&other_group, dims, 0)
         );
     }
 
     #[test]
     fn member_keys_are_ordinal_and_field_sensitive() {
         let dims = GemmDims::square(256);
-        let base_rk = member_request_key(&req(), dims, 0);
-        let base_ak = member_activity_key(&req(), dims, 0);
+        let base = member_request_key(&req(), dims, 0);
         // Twin members (same dims, higher ordinal) draw different data.
-        assert_ne!(base_rk, member_request_key(&req(), dims, 1));
-        assert_ne!(base_ak, member_activity_key(&req(), dims, 1));
-        // Every data-shaping knob moves both keys.
-        for (rk, ak) in [
-            (
-                member_request_key(&req().with_base_seed(1), dims, 0),
-                member_activity_key(&req().with_base_seed(1), dims, 0),
-            ),
-            (
-                member_request_key(&req().with_b_transposed(false), dims, 0),
-                member_activity_key(&req().with_b_transposed(false), dims, 0),
-            ),
-            (
-                member_request_key(&req(), GemmDims::square(255), 0),
-                member_activity_key(&req(), GemmDims::square(255), 0),
-            ),
-            (
-                member_request_key(
-                    &req().with_pattern_b(PatternSpec::new(PatternKind::Zeros)),
-                    dims,
-                    0,
-                ),
-                member_activity_key(
-                    &req().with_pattern_b(PatternSpec::new(PatternKind::Zeros)),
-                    dims,
-                    0,
-                ),
+        assert_ne!(base, member_request_key(&req(), dims, 1));
+        // Every data-shaping knob moves the key.
+        for key in [
+            member_request_key(&req().with_base_seed(1), dims, 0),
+            member_request_key(&req().with_b_transposed(false), dims, 0),
+            member_request_key(&req(), GemmDims::square(255), 0),
+            member_request_key(
+                &req().with_pattern_b(PatternSpec::new(PatternKind::Zeros)),
+                dims,
+                0,
             ),
         ] {
-            assert_ne!(base_rk, rk);
-            assert_ne!(base_ak, ak);
+            assert_ne!(base, key);
         }
-        // Seeds: invisible to the chunk key (first-seed walk), load-bearing
-        // for the activity unit (one record per seed).
-        assert_ne!(base_ak, member_activity_key(&req().with_seeds(3), dims, 0));
-        assert_eq!(base_rk, member_request_key(&req().with_seeds(3), dims, 0));
-        // Iterations are a repeat count; activities never depend on them.
+        // Seed count and iterations never change a member's data.
+        assert_eq!(base, member_request_key(&req().with_seeds(3), dims, 0));
         assert_eq!(
-            base_ak,
-            member_activity_key(&req().with_iterations(100), dims, 0)
+            base,
+            member_request_key(&req().with_iterations(100), dims, 0)
         );
-        // Domain separation: the two member folds never alias each other
+        // Unit keys separate seed indices and never alias the member key
         // or the request-level keys on identical inputs.
-        assert_ne!(base_rk, base_ak);
-        assert_ne!(base_rk, request_key(&req()));
+        assert_ne!(unit_key(base, 0), unit_key(base, 1));
+        assert_ne!(unit_key(base, 0), base);
+        assert_ne!(base, request_key(&req()));
     }
 
     #[test]

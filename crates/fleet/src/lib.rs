@@ -13,7 +13,9 @@
 //! * [`hash`] — canonical hashing of `(RunRequest, GpuSpec, vm)` so the
 //!   cache keys on semantic request content.
 //! * [`cache`] — the sharded [`MemoCache`] with in-flight deduplication:
-//!   identical queries never run the simulator twice.
+//!   whole results, plus the member-seed units ([`SeedUnit`]) every
+//!   request's features, analytic probe, and execution read — identical
+//!   work never runs the simulator twice.
 //! * [`placement`] — power-capped placement: price the request on every
 //!   device (learned `wm-predict` models when trained and healthy, the
 //!   activity probe + power model otherwise), plan the energy-minimal
@@ -71,15 +73,11 @@ pub mod placement;
 pub mod protocol;
 pub mod scheduler;
 
-pub use cache::MemoCache;
+pub use cache::{MemoCache, SeedUnit};
 pub use device::{Fleet, FleetBuilder, FleetDevice};
-pub use hash::{
-    canonical_key, member_activity_key, member_request_key, request_key, CanonicalHasher,
-};
+pub use hash::{canonical_key, member_request_key, request_key, unit_key, CanonicalHasher};
 pub use par::parallel_map;
-pub use placement::{
-    place, place_learned, probe_activity, Placement, PlacementError, PredictionSource,
-};
+pub use placement::{place, place_learned, Placement, PlacementError, PredictionSource};
 pub use protocol::{answer, answer_streamed, answer_streamed_with_default, serve};
 pub use scheduler::{
     pack_ffd, BatchRound, DeviceStats, FleetError, FleetJob, FleetResponse, JobHandle, PackedRound,

@@ -8,9 +8,10 @@
 //! picks the cheapest device whose planned power fits under both its own
 //! cap and the fleet power budget. Two pricing paths exist:
 //!
-//! * **analytic** ([`place`]) — probe the request's switching activity
-//!   once (activity is device-independent) and evaluate the full power
-//!   model per device;
+//! * **analytic** ([`place`]) — evaluate the full power model per device
+//!   on the request's probe: the seed-0 switching activity of each member
+//!   (activity is device-independent, so the scheduler reads it once from
+//!   its unit store);
 //! * **learned** ([`place_learned`]) — skip the probe entirely: ask the
 //!   `wm-predict` [`PowerPredictor`] for each device's power from cheap
 //!   input features, and rebuild a plannable breakdown with
@@ -32,7 +33,7 @@
 //! distinct requests across twin devices and routes repeats of the same
 //! request to the same device — maximising memo-cache reuse.
 
-use wm_core::{first_seed_group_operands, simulate_member_activity, RunRequest};
+use wm_core::RunRequest;
 use wm_kernels::ActivityRecord;
 use wm_optimizer::{plan_dvfs, DvfsPlan};
 use wm_power::{evaluate_group, group_runtime, predicted_breakdown, PowerBreakdown};
@@ -106,23 +107,6 @@ impl std::fmt::Display for PlacementError {
             ),
         }
     }
-}
-
-/// Simulate the switching activity of the request's first seed, one
-/// record per member (a plain request is its own single member). The
-/// operands come from [`wm_core::first_seed_group_operands`] and the
-/// kernel dispatch from [`wm_core::simulate_member_activity`], so the
-/// probe walks exactly the data — and the kernel family — the run
-/// executes. Activity depends only on the input data, not on the device,
-/// so one probe serves every candidate device (and is cached per request
-/// by the scheduler).
-pub fn probe_activity(req: &RunRequest) -> Vec<ActivityRecord> {
-    let members = req.member_dims();
-    first_seed_group_operands(req)
-        .iter()
-        .zip(&members)
-        .map(|((a, b), &m)| simulate_member_activity(req, m, a, b))
-        .collect()
 }
 
 /// One device's candidate operating point for a job.
@@ -293,6 +277,17 @@ mod tests {
     use wm_numerics::DType;
     use wm_patterns::{PatternKind, PatternSpec};
 
+    /// The analytic probe: every member's seed-0 activity.
+    fn seed0_activities(req: &RunRequest) -> Vec<ActivityRecord> {
+        wm_core::member_ordinals(req)
+            .into_iter()
+            .map(|(m, ord)| {
+                let (a, b) = wm_core::first_seed_member_operands(req, m, ord);
+                wm_core::simulate_member_activity(req, m, &a, &b)
+            })
+            .collect()
+    }
+
     fn quick_req(kind: PatternKind) -> RunRequest {
         RunRequest::new(DType::Fp16Tensor, 256, PatternSpec::new(kind))
             .with_seeds(1)
@@ -300,15 +295,9 @@ mod tests {
     }
 
     #[test]
-    fn probe_is_deterministic() {
-        let req = quick_req(PatternKind::Gaussian);
-        assert_eq!(probe_activity(&req), probe_activity(&req));
-    }
-
-    #[test]
     fn placement_is_a_pure_function() {
         let fleet = Fleet::from_catalog();
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = seed0_activities(&quick_req(PatternKind::Gaussian));
         let a = place(&fleet, &act, 42, None).unwrap();
         let b = place(&fleet, &act, 42, None).unwrap();
         assert_eq!(a.device, b.device);
@@ -318,7 +307,7 @@ mod tests {
     #[test]
     fn placed_power_fits_cap_and_budget() {
         let fleet = Fleet::from_catalog();
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = seed0_activities(&quick_req(PatternKind::Gaussian));
         let p = place(&fleet, &act, 0, None).unwrap();
         let dev = fleet.device(p.device).unwrap();
         assert!(p.planned_power_w > 0.0);
@@ -329,7 +318,7 @@ mod tests {
     #[test]
     fn tie_salt_spreads_twin_devices() {
         let fleet = Fleet::homogeneous(a100_pcie(), 4);
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = seed0_activities(&quick_req(PatternKind::Gaussian));
         let devices: Vec<usize> = (0u64..8)
             .map(|salt| place(&fleet, &act, salt, None).unwrap().device)
             .collect();
@@ -350,7 +339,7 @@ mod tests {
         let gpu = a100_pcie();
         let idle = gpu.idle_watts;
         let fleet = Fleet::builder().device_with(gpu, 0, idle + 1.0).build();
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = seed0_activities(&quick_req(PatternKind::Gaussian));
         match place(&fleet, &act, 0, None) {
             Err(PlacementError::NeverFits { cheapest_w }) => assert!(cheapest_w > idle + 1.0),
             other => panic!("expected NeverFits, got {other:?}"),
@@ -364,7 +353,7 @@ mod tests {
         let gpu = a100_pcie();
         let budget = gpu.idle_watts + 2.0;
         let fleet = Fleet::builder().device(gpu).power_budget_w(budget).build();
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = seed0_activities(&quick_req(PatternKind::Gaussian));
         assert!(matches!(
             place(&fleet, &act, 0, None),
             Err(PlacementError::NeverFits { .. })
@@ -378,8 +367,8 @@ mod tests {
         // cap is derived from the model: the midpoint of the two patterns'
         // planned draws on an uncapped device.
         let uncapped = Fleet::builder().device(a100_pcie()).build();
-        let dense = probe_activity(&quick_req(PatternKind::Gaussian));
-        let zeros = probe_activity(&quick_req(PatternKind::Zeros));
+        let dense = seed0_activities(&quick_req(PatternKind::Gaussian));
+        let zeros = seed0_activities(&quick_req(PatternKind::Zeros));
         let p_dense = place(&uncapped, &dense, 0, None).unwrap().planned_power_w;
         let p_zeros = place(&uncapped, &zeros, 0, None).unwrap().planned_power_w;
         assert!(
@@ -404,7 +393,7 @@ mod tests {
             .device(a100_pcie())
             .device(rtx6000())
             .build();
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = seed0_activities(&quick_req(PatternKind::Gaussian));
         let p = place(&fleet, &act, 0, None).unwrap();
         let cands_energy: Vec<f64> = fleet
             .devices()
@@ -440,7 +429,7 @@ mod tests {
             for (i, kind) in kinds.into_iter().enumerate() {
                 let req = quick_req(kind).with_base_seed(round * 100 + i as u64);
                 let features = wm_predict::features_for_request(&req);
-                let act = probe_activity(&req);
+                let act = seed0_activities(&req);
                 for dev in fleet.devices() {
                     let watts = evaluate_group(&dev.gpu, &act).total_w;
                     p.observe(dev.gpu.name, KernelClass::Gemm, &features, watts);
@@ -480,7 +469,7 @@ mod tests {
             .expect("both architectures are trained")
             .expect("an uncapped fleet admits everything");
         assert_eq!(learned.source, PredictionSource::Learned);
-        let analytic = place(&fleet, &probe_activity(&req), 7, None).unwrap();
+        let analytic = place(&fleet, &seed0_activities(&req), 7, None).unwrap();
         assert_eq!(analytic.source, PredictionSource::Analytic);
         assert_eq!(
             learned.device, analytic.device,
@@ -512,7 +501,7 @@ mod tests {
     #[test]
     fn deadline_shifts_the_operating_point() {
         let fleet = Fleet::builder().device(a100_pcie()).build();
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = seed0_activities(&quick_req(PatternKind::Gaussian));
         let free = place(&fleet, &act, 0, None).unwrap();
         let plan = free.plan.as_ref().expect("unthrottled baseline");
         // A deadline just above the *boost* iteration time (from the

@@ -4,14 +4,16 @@
 //! per-worker deques, and idle workers steal from the back of their
 //! peers' deques. Each job flows through:
 //!
-//! 1. **Placement** — auto jobs probe their switching activity (memoised
-//!    per request: activity is device-independent) and ask
-//!    [`crate::placement::place`] for the device + clock that fits under
-//!    the fleet power budget; pinned jobs skip straight to their device.
+//! 1. **Placement** — auto jobs price themselves from their input
+//!    features or, as the analytic fallback, from their members' seed-0
+//!    switching activity, and ask [`crate::placement::place`] for the
+//!    device + clock that fits under the fleet power budget; pinned jobs
+//!    skip straight to their device.
 //! 2. **Memo cache** — the canonical `(RunRequest, GpuSpec, vm)` key is
-//!    looked up in the sharded [`MemoCache`]; only a miss runs the full
-//!    `PowerLab` pipeline. Identical in-flight queries join rather than
-//!    recompute.
+//!    looked up in the sharded [`MemoCache`]; a miss evaluates and
+//!    measures the run from its member-seed units (seed 0 is the unit its
+//!    features and probe already computed). Identical in-flight queries
+//!    join rather than recompute.
 //! 3. **Reply** — the response (shared `Arc<RunResult>`, chosen device,
 //!    clock, cache-hit flag) is sent back over the job's reply channel.
 //!
@@ -40,15 +42,15 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use wm_core::{member_ordinals, member_seed_activities, PowerLab, RunRequest, RunResult};
+use wm_core::{member_ordinals, PowerLab, RunRequest, RunResult};
 use wm_gpu::GemmDims;
 use wm_kernels::{ActivityRecord, KernelClass};
 use wm_obs::{stage, Histogram, Registry, Tracer};
 use wm_optimizer::DvfsPlan;
 use wm_power::{evaluate_group, group_runtime, predicted_breakdown, PowerBreakdown};
 use wm_predict::{
-    features_from_member_chunks, member_feature_chunk, FeatureAccumulator, FeatureVector,
-    ModelStats, PowerPredictor, PredictorState,
+    features_from_member_chunks, FeatureAccumulator, FeatureVector, ModelStats, PowerPredictor,
+    PredictorState,
 };
 
 /// Default span capacity of a scheduler's trace ring
@@ -66,12 +68,10 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-use crate::cache::MemoCache;
-use crate::device::Fleet;
-use crate::hash::{canonical_key, member_activity_key, member_request_key, request_key};
-use crate::placement::{
-    place, place_learned, probe_activity, Placement, PlacementError, PredictionSource,
-};
+use crate::cache::{MemoCache, SeedUnit};
+use crate::device::{Fleet, FleetDevice};
+use crate::hash::{canonical_key, request_key};
+use crate::placement::{place, place_learned, Placement, PlacementError, PredictionSource};
 
 /// One unit of work for the fleet.
 #[derive(Debug, Clone)]
@@ -218,6 +218,11 @@ pub struct SchedulerStats {
     pub pack_rounds: u64,
     /// Rounds the most recent packed batch needed (0 before any batch).
     pub last_batch_rounds: u64,
+    /// Bytes of operand matrices generated (f32 storage), over every
+    /// member-seed unit computed.
+    pub operand_bytes: u64,
+    /// Member-seed activity simulations run (one per unit computed).
+    pub activity_sims: u64,
 }
 
 /// Per-device execution counters (fresh computes only; cache hits run
@@ -289,22 +294,10 @@ struct Task {
 struct Inner {
     fleet: Fleet,
     cache: MemoCache,
-    /// Request-keyed probe cache: switching activity is device-independent,
-    /// so placement probes are shared across devices and repeats. One
-    /// record per group member (plain requests are their own single
-    /// member).
-    probes: Mutex<HashMap<u64, Arc<Vec<ActivityRecord>>>>,
-    /// Request-keyed feature cache: input features are device-independent
-    /// too, and one extraction serves placement, prediction, and the
-    /// training feedback of every repeat.
+    /// Request-keyed feature cache: input features are device-independent,
+    /// and one merge of the members' seed-0 chunks serves placement,
+    /// prediction, and the training feedback of every repeat.
     features: Mutex<HashMap<u64, Arc<FeatureVector>>>,
-    /// Member-keyed feature-chunk cache backing the request-keyed one:
-    /// one accumulated [`FeatureAccumulator`] per canonical member
-    /// operand stream ([`member_request_key`]), shared across every
-    /// request spelling that contains the member — a grouped request
-    /// whose members were featured before (alone or in other groups)
-    /// composes its vector without touching operand bytes.
-    feature_chunks: Mutex<HashMap<u64, Arc<FeatureAccumulator>>>,
     /// The shared online power predictor, trained from completed runs.
     predictor: Mutex<PowerPredictor>,
     /// Per-device execution accumulators (fresh computes only).
@@ -400,9 +393,7 @@ impl Scheduler {
         let inner = Arc::new(Inner {
             fleet,
             cache: MemoCache::new(16),
-            probes: Mutex::new(HashMap::new()),
             features: Mutex::new(HashMap::new()),
-            feature_chunks: Mutex::new(HashMap::new()),
             predictor: Mutex::new(PowerPredictor::new()),
             device_accum: Mutex::new(vec![DeviceAccum::default(); n_devices]),
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -480,7 +471,8 @@ impl Scheduler {
     /// Execution order is **power-packed**, not FIFO: every auto-placed
     /// job is priced up front exactly as placement will price it (learned
     /// models when trained and healthy, the analytic probe otherwise —
-    /// probes and features are cached, so nothing is paid twice), and the
+    /// features and member-seed units are cached, so nothing is paid
+    /// twice), and the
     /// priced jobs are first-fit-decreasing packed into concurrency
     /// rounds against the fleet power budget ([`pack_ffd`]). Each round
     /// fills the budget with the heaviest jobs that fit together — one
@@ -550,9 +542,9 @@ impl Scheduler {
         let inner = &*self.inner;
         let pack_span = inner.tracer.start(parent_rid, stage::PACK);
         // Price the whole batch in parallel (order-preserving fan-out;
-        // probes and features land in the shared per-request caches, so
-        // the workers executing the rounds reuse them). `None` marks a
-        // job the packer must not touch.
+        // features and seed-0 units land in the shared caches, so the
+        // workers executing the rounds reuse them). `None` marks a job the
+        // packer must not touch.
         let pricing: Vec<Option<(usize, f64)>> =
             crate::par::parallel_map((0..jobs.len()).collect(), |i| {
                 let job = &jobs[i];
@@ -673,6 +665,8 @@ impl Scheduler {
             packed_batches: self.inner.packed_batches.load(Ordering::Relaxed),
             pack_rounds: self.inner.pack_rounds.load(Ordering::Relaxed),
             last_batch_rounds: self.inner.last_batch_rounds.load(Ordering::Relaxed),
+            operand_bytes: self.inner.cache.operand_bytes(),
+            activity_sims: self.inner.cache.activity_sims(),
         }
     }
 
@@ -706,6 +700,10 @@ impl Scheduler {
             .store(s.pack_rounds);
         reg.gauge("fleet_last_batch_rounds", &[])
             .set(s.last_batch_rounds as f64);
+        reg.counter("fleet_operand_bytes_total", &[])
+            .store(s.operand_bytes);
+        reg.counter("fleet_activity_sims_total", &[])
+            .store(s.activity_sims);
         let lookups = s.cache_hits + s.cache_misses;
         reg.gauge("fleet_cache_hit_ratio", &[])
             .set(if lookups == 0 {
@@ -751,12 +749,12 @@ impl Scheduler {
         self.inner.cache.len()
     }
 
-    /// Number of distinct activity probes cached. Probes are keyed by
-    /// the device-independent [`request_key`], which drops
-    /// activity-irrelevant fields (`iterations`, `seeds`), so identical
-    /// requests differing only there share one probe.
+    /// Number of distinct member streams probed: resident seed-0 units,
+    /// each one member's analytic probe and feature chunk. Units are keyed
+    /// without `iterations` or `seeds`, so requests differing only there
+    /// share them.
     pub fn probed_requests(&self) -> usize {
-        lock_clean(&self.inner.probes).len()
+        self.inner.cache.probe_len()
     }
 
     /// The highest instantaneous committed fleet draw observed so far,
@@ -1075,7 +1073,7 @@ fn worker_loop(inner: &Inner, me: usize) {
 }
 
 /// Effective member shapes of a grouped request (empty for plain ones) —
-/// what `predict` answers echo.
+/// what `predict` answers echo and member provenance flags follow.
 fn effective_group(req: &RunRequest) -> Vec<GemmDims> {
     if req.is_grouped() {
         req.member_dims()
@@ -1084,35 +1082,21 @@ fn effective_group(req: &RunRequest) -> Vec<GemmDims> {
     }
 }
 
-fn probe(inner: &Inner, req: &RunRequest) -> Arc<Vec<ActivityRecord>> {
-    let key = request_key(req);
-    if let Some(a) = lock_clean(&inner.probes).get(&key) {
-        return Arc::clone(a);
-    }
-    let activity = Arc::new(probe_activity(req));
-    lock_clean(&inner.probes)
-        .entry(key)
-        .or_insert(activity)
-        .clone()
+/// Every canonical member's seed-0 unit, in member order: the view the
+/// request's features and its analytic probe read.
+fn seed0_units(inner: &Inner, req: &RunRequest) -> Vec<Arc<SeedUnit>> {
+    member_ordinals(req)
+        .into_iter()
+        .map(|(m, ord)| inner.cache.unit(req, (m, ord), 0, false).0)
+        .collect()
 }
 
-/// One canonical member's feature chunk, from the member-keyed chunk
-/// cache or a fresh accumulation over that member's first-seed operands.
-fn member_chunk(
-    inner: &Inner,
-    req: &RunRequest,
-    member: GemmDims,
-    ordinal: u64,
-) -> Arc<FeatureAccumulator> {
-    let key = member_request_key(req, member, ordinal);
-    if let Some(c) = lock_clean(&inner.feature_chunks).get(&key) {
-        return Arc::clone(c);
-    }
-    let chunk = Arc::new(member_feature_chunk(req, member, ordinal));
-    lock_clean(&inner.feature_chunks)
-        .entry(key)
-        .or_insert(chunk)
-        .clone()
+/// The analytic probe: each member's seed-0 activity.
+fn probe(inner: &Inner, req: &RunRequest) -> Vec<ActivityRecord> {
+    seed0_units(inner, req)
+        .iter()
+        .map(|u| u.activity.clone())
+        .collect()
 }
 
 fn request_features(inner: &Inner, req: &RunRequest) -> Arc<FeatureVector> {
@@ -1120,56 +1104,52 @@ fn request_features(inner: &Inner, req: &RunRequest) -> Arc<FeatureVector> {
     if let Some(f) = lock_clean(&inner.features).get(&key) {
         return Arc::clone(f);
     }
-    // Compose from per-member chunks: members featured before (alone or
-    // inside other groups) are Arc clones out of the chunk cache; only
-    // the residue walks operand bytes, and a multi-member residue walks
-    // them chunk-parallel. Merging chunks in canonical member order is
-    // bit-identical to the sequential full-stream extraction — the
-    // mergeable-accumulator contract charges the chunk-boundary toggles.
-    let chunks: Vec<Arc<FeatureAccumulator>> =
-        crate::par::parallel_map(member_ordinals(req), |(m, ord)| {
-            member_chunk(inner, req, m, ord)
-        });
-    let refs: Vec<&FeatureAccumulator> = chunks.iter().map(Arc::as_ref).collect();
-    let features = Arc::new(features_from_member_chunks(req, &refs));
+    // Merge the members' seed-0 chunks in canonical member order —
+    // bit-identical to the sequential full-stream extraction (the
+    // mergeable-accumulator contract charges the chunk-boundary toggles).
+    let units = seed0_units(inner, req);
+    let chunks: Vec<&FeatureAccumulator> =
+        units.iter().filter_map(|u| u.chunk.as_deref()).collect();
+    let features = Arc::new(features_from_member_chunks(req, &chunks));
     lock_clean(&inner.features)
         .entry(key)
         .or_insert(features)
         .clone()
 }
 
-/// Execute a request at member granularity: answer each canonical member
-/// from the fleet-wide member activity store when a prior request — a
-/// single of the same shape, or another group sharing the member —
-/// already simulated it, simulate only the *residue* (chunk-parallel for
-/// multi-member groups), and assemble the run through
-/// [`PowerLab::run_from_activities`]. Bit-identical to a cold
-/// [`PowerLab::run`]: member operand streams and the per-seed measurement
-/// seed are fixed by the request alone, independent of which members were
-/// freshly simulated. Returns the result and the per-member cached flags
-/// in canonical member order.
+/// Execute a request from its member-seed units — seed 0 is usually in the
+/// store already (the request's features computed it), units of earlier
+/// requests are reused, and only the rest are computed here — through
+/// [`PowerLab::run_from_activities`], bit-identical to a cold
+/// [`PowerLab::run`]. Returns the result and the per-member cached flags
+/// in canonical member order: a member is cached when every unit it read
+/// was owned by an earlier run.
 fn run_with_member_reuse(
     inner: &Inner,
     req: &RunRequest,
     gpu: wm_gpu::GpuSpec,
     vm_id: u64,
 ) -> (RunResult, Vec<bool>) {
-    let units: Vec<(Arc<Vec<ActivityRecord>>, bool)> =
-        crate::par::parallel_map(member_ordinals(req), |(m, ord)| {
-            inner
-                .cache
-                .member_get_or_compute(member_activity_key(req, m, ord), || {
-                    member_seed_activities(req, m, ord)
+    let mut flags = Vec::new();
+    let per_member: Vec<Vec<ActivityRecord>> = member_ordinals(req)
+        .into_iter()
+        .map(|(m, ord)| {
+            let mut cached = true;
+            let records = (0..req.seeds)
+                .map(|s| {
+                    let (unit, computed) = inner.cache.unit(req, (m, ord), s, true);
+                    cached &= !computed && unit.claim();
+                    unit.activity.clone()
                 })
-        });
-    let flags = units.iter().map(|(_, hit)| *hit).collect();
-    let refs: Vec<&[ActivityRecord]> = units.iter().map(|(u, _)| u.as_slice()).collect();
-    (
-        PowerLab::new(gpu)
-            .with_vm(vm_id)
-            .run_from_activities(req, &refs),
-        flags,
-    )
+                .collect();
+            inner.cache.record_member(cached);
+            flags.push(cached);
+            records
+        })
+        .collect();
+    let refs: Vec<&[ActivityRecord]> = per_member.iter().map(Vec::as_slice).collect();
+    let lab = PowerLab::new(gpu).with_vm(vm_id);
+    (lab.run_from_activities(req, &refs), flags)
 }
 
 /// Placement with the request's canonical key as the tie salt: the
@@ -1280,6 +1260,41 @@ fn acquire_slot<'a>(
     }
 }
 
+/// Grouped responses carry per-member provenance; a whole-result replay
+/// means every member came from cache.
+fn all_cached(job: &FleetJob) -> Vec<bool> {
+    vec![true; effective_group(&job.request).len()]
+}
+
+/// The answer to `job` from `result` on `dev`. `plan` is `None` for
+/// pinned jobs and cross-device replays, which report the result's own
+/// governor clock and no estimate.
+fn respond(
+    job: &FleetJob,
+    dev: &FleetDevice,
+    plan: Option<&Placement>,
+    result: Arc<RunResult>,
+    cache_hit: bool,
+    member_cached: Vec<bool>,
+) -> FleetResponse {
+    FleetResponse {
+        request_id: job.request_id.unwrap_or(0),
+        device: dev.id,
+        gpu_name: dev.gpu.name,
+        clock_scale: plan
+            .and_then(|p| p.plan.as_ref())
+            .map_or(result.breakdown.clock_scale, |p| p.clock_scale),
+        plan: plan.and_then(|p| p.plan),
+        predicted_w: plan.map(|p| p.predicted_w),
+        prediction: plan.map(|p| p.source),
+        measured_w: result.power.mean,
+        cache_hit,
+        member_cached,
+        deadline_s: job.deadline_s,
+        result,
+    }
+}
+
 fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
     // `submit` always assigns an id; 0 only appears for tasks forged
     // around it (none today) and keeps the trail well-formed regardless.
@@ -1313,25 +1328,7 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
             }
             if let Some((dev, result)) = hit {
                 lookup.finish(format!("hit device={}", dev.id));
-                let member_cached = if job.request.is_grouped() {
-                    vec![true; job.request.member_dims().len()]
-                } else {
-                    Vec::new()
-                };
-                return Ok(FleetResponse {
-                    request_id: rid,
-                    device: dev.id,
-                    gpu_name: dev.gpu.name,
-                    clock_scale: result.breakdown.clock_scale,
-                    plan: None,
-                    predicted_w: None,
-                    prediction: None,
-                    measured_w: result.power.mean,
-                    cache_hit: true,
-                    member_cached,
-                    deadline_s: job.deadline_s,
-                    result,
-                });
+                return Ok(respond(&job, dev, None, result, true, all_cached(&job)));
             }
             lookup.finish("miss");
             let feat_span = tracer.start(rid, stage::FEATURES);
@@ -1368,35 +1365,8 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
         .ok_or(FleetError::UnknownDevice(device_id))?;
     let key = canonical_key(&job.request, &dev.gpu, dev.vm.id);
 
-    // Grouped responses carry per-member provenance; a whole-result
-    // replay means every member came from cache.
-    let all_members_cached = || {
-        if job.request.is_grouped() {
-            vec![true; job.request.member_dims().len()]
-        } else {
-            Vec::new()
-        }
-    };
-    let respond = |result: Arc<RunResult>, cache_hit: bool, member_cached: Vec<bool>| {
-        let clock_scale = plan
-            .as_ref()
-            .and_then(|p| p.plan.as_ref())
-            .map(|p| p.clock_scale)
-            .unwrap_or(result.breakdown.clock_scale);
-        FleetResponse {
-            request_id: rid,
-            device: device_id,
-            gpu_name: dev.gpu.name,
-            clock_scale,
-            plan: plan.as_ref().and_then(|p| p.plan),
-            predicted_w: plan.as_ref().map(|p| p.predicted_w),
-            prediction: plan.as_ref().map(|p| p.source),
-            measured_w: result.power.mean,
-            cache_hit,
-            member_cached,
-            deadline_s: job.deadline_s,
-            result,
-        }
+    let respond = |result, cache_hit, member_cached| {
+        respond(&job, dev, plan.as_ref(), result, cache_hit, member_cached)
     };
 
     // Fast path: an already-cached answer needs no device slot or budget —
@@ -1407,11 +1377,11 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
         let lookup = tracer.start(rid, stage::CACHE_LOOKUP);
         if let Some(result) = inner.cache.peek(key) {
             lookup.finish(format!("hit device={device_id}"));
-            return Ok(respond(result, true, all_members_cached()));
+            return Ok(respond(result, true, all_cached(&job)));
         }
         lookup.finish("miss");
     } else if let Some(result) = inner.cache.peek(key) {
-        return Ok(respond(result, true, all_members_cached()));
+        return Ok(respond(result, true, all_cached(&job)));
     }
 
     // Reserve the planned draw for auto-placed jobs while computing
@@ -1426,7 +1396,7 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
     let gpu = dev.gpu.clone();
     let vm_id = dev.vm.id;
     let req = job.request.clone();
-    // Fresh computes report which members the member store answered; the
+    // Fresh computes report which members the unit store answered; the
     // side channel stays `None` on a join (the closure never ran — the
     // twin that computed the result covered every member for us).
     let mut fresh_member_flags: Option<Vec<bool>> = None;
@@ -1442,7 +1412,7 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
     let member_cached = match fresh_member_flags {
         Some(flags) if job.request.is_grouped() => flags,
         Some(_) => Vec::new(),
-        None => all_members_cached(),
+        None => all_cached(&job),
     };
 
     if !cache_hit {
@@ -1484,6 +1454,18 @@ mod tests {
     use wm_numerics::DType;
     use wm_obs::SpanRecord;
     use wm_patterns::{PatternKind, PatternSpec};
+
+    /// Mixed input distributions that train a model past readiness.
+    const TRAINING_KINDS: [PatternKind; 8] = [
+        PatternKind::Gaussian,
+        PatternKind::Sparse { sparsity: 0.3 },
+        PatternKind::Sparse { sparsity: 0.7 },
+        PatternKind::SortedRows { fraction: 0.5 },
+        PatternKind::ValueSet { set_size: 8 },
+        PatternKind::ConstantRandom,
+        PatternKind::ZeroLsbs { count: 6 },
+        PatternKind::Zeros,
+    ];
 
     fn quick(kind: PatternKind, seed: u64) -> RunRequest {
         RunRequest::new(DType::Fp16Tensor, 128, PatternSpec::new(kind))
@@ -1670,18 +1652,8 @@ mod tests {
             first.measured_w
         );
         // Train past the readiness threshold with mixed distributions.
-        let kinds = [
-            PatternKind::Gaussian,
-            PatternKind::Sparse { sparsity: 0.3 },
-            PatternKind::Sparse { sparsity: 0.7 },
-            PatternKind::SortedRows { fraction: 0.5 },
-            PatternKind::ValueSet { set_size: 8 },
-            PatternKind::ConstantRandom,
-            PatternKind::ZeroLsbs { count: 6 },
-            PatternKind::Zeros,
-        ];
         let jobs: Vec<FleetJob> = (0..40u64)
-            .map(|i| FleetJob::new(quick(kinds[(i % 8) as usize], 2000 + i)))
+            .map(|i| FleetJob::new(quick(TRAINING_KINDS[(i % 8) as usize], 2000 + i)))
             .collect();
         for r in sched.run_batch(jobs) {
             r.unwrap();
@@ -1712,18 +1684,8 @@ mod tests {
     fn gemv_traffic_trains_its_own_model_and_never_prices_from_gemm() {
         let sched = Scheduler::with_workers(Fleet::builder().device(a100_pcie()).build(), 2);
         // Train the GEMM model past readiness.
-        let kinds = [
-            PatternKind::Gaussian,
-            PatternKind::Sparse { sparsity: 0.3 },
-            PatternKind::Sparse { sparsity: 0.7 },
-            PatternKind::SortedRows { fraction: 0.5 },
-            PatternKind::ValueSet { set_size: 8 },
-            PatternKind::ConstantRandom,
-            PatternKind::ZeroLsbs { count: 6 },
-            PatternKind::Zeros,
-        ];
         let gemm_jobs: Vec<FleetJob> = (0..40u64)
-            .map(|i| FleetJob::new(quick(kinds[(i % 8) as usize], 3000 + i)))
+            .map(|i| FleetJob::new(quick(TRAINING_KINDS[(i % 8) as usize], 3000 + i)))
             .collect();
         for r in sched.run_batch(gemm_jobs) {
             r.unwrap();
@@ -1747,7 +1709,7 @@ mod tests {
         assert_eq!(p.model_observations, 0);
         // Interleave GEMV runs: they train the (arch, Gemv) key only.
         let gemv_jobs: Vec<FleetJob> = (0..40u64)
-            .map(|i| gemv(5000 + i, kinds[(i % 8) as usize]))
+            .map(|i| gemv(5000 + i, TRAINING_KINDS[(i % 8) as usize]))
             .collect();
         for r in sched.run_batch(gemv_jobs) {
             r.unwrap();
@@ -1777,32 +1739,72 @@ mod tests {
 
     #[test]
     fn probe_cache_hits_across_iteration_counts() {
-        // Switching activity does not depend on the iteration count, so
-        // identical requests differing only there (or in the seed count)
-        // must share one probe instead of re-simulating it.
+        // Switching activity depends on neither the iteration count nor
+        // the seed count, so identical requests differing only there must
+        // read the seed-0 unit the first probe computed, not simulate it.
         let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 2), 2);
+        let work = |s: &Scheduler| (s.stats().activity_sims, s.stats().operand_bytes);
         let req = quick(PatternKind::Gaussian, 31);
-        sched
-            .predict(&FleetJob::new(req.clone().with_iterations(10)))
-            .unwrap();
+        let unit = (1, 2 * 128 * 128 * 4);
+        for variant in [
+            req.clone().with_iterations(10),
+            req.clone().with_iterations(20_000),
+            req.clone(),
+            req.clone().with_seeds(7),
+        ] {
+            sched.predict(&FleetJob::new(variant)).unwrap();
+            assert_eq!(work(&sched), unit, "variants must recompute nothing");
+        }
         assert_eq!(sched.probed_requests(), 1);
-        sched
-            .predict(&FleetJob::new(req.clone().with_iterations(20_000)))
-            .unwrap();
-        sched.predict(&FleetJob::new(req.clone())).unwrap();
-        sched
-            .predict(&FleetJob::new(req.clone().with_seeds(7)))
-            .unwrap();
-        assert_eq!(
-            sched.probed_requests(),
-            1,
-            "iteration/seed variants must reuse the probe"
-        );
-        // An activity-relevant change probes afresh.
+        // An activity-relevant change computes a new unit.
         sched
             .predict(&FleetJob::new(req.with_base_seed(99)))
             .unwrap();
+        assert_eq!(work(&sched), (2, 2 * unit.1));
         assert_eq!(sched.probed_requests(), 2);
+    }
+
+    #[test]
+    fn work_counters_count_each_member_seed_unit_once() {
+        let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 2), 2);
+        // (simulations, operand bytes); a square FP16-T GEMM generates an
+        // n x n A and an n x n stored B, held as f32.
+        let work = |s: &Scheduler| (s.stats().activity_sims, s.stats().operand_bytes);
+        let seeds = 3;
+        let residue = (seeds, seeds * 2 * 128 * 128 * 4);
+        // A cold plain request: features, probe, and execute share seed 0.
+        let req = quick(PatternKind::Gaussian, 61).with_seeds(seeds);
+        sched.submit(FleetJob::new(req.clone())).recv().unwrap();
+        assert_eq!(work(&sched), residue);
+        // A whole hit does no work.
+        assert!(sched.submit(FleetJob::new(req)).recv().unwrap().cache_hit);
+        assert_eq!(work(&sched), residue);
+        // A group with 2 of its 3 members warmed by singles simulates only
+        // the residue member's seeds.
+        let base = quick(PatternKind::Gaussian, 62).with_seeds(seeds);
+        for d in [64, 96] {
+            let single = base.clone().with_shape(GemmDims::square(d));
+            sched.submit(FleetJob::new(single)).recv().unwrap();
+        }
+        let (sims, bytes) = work(&sched);
+        let members = [128, 64, 96].map(GemmDims::square).to_vec();
+        let group = sched
+            .submit(FleetJob::new(base.with_group(members)))
+            .recv()
+            .unwrap();
+        assert_eq!(group.member_cached, vec![true, true, false]);
+        let done = (sims + residue.0, bytes + residue.1);
+        assert_eq!(work(&sched), done);
+        // The registry mirrors both counters.
+        sched.sync_metrics();
+        let counter = |name: &str| sched.registry().counter(name, &[]).get();
+        assert_eq!(
+            (
+                counter("fleet_activity_sims_total"),
+                counter("fleet_operand_bytes_total")
+            ),
+            done
+        );
     }
 
     #[test]
@@ -2100,21 +2102,32 @@ mod tests {
         let sched = Scheduler::with_workers(fleet, 4);
         // A round's jobs are *admitted* together, but whether their slot
         // reservations actually overlap depends on worker timing — a fast
-        // job can release before its round-mate acquires. The budget and
-        // completion invariants hold on every attempt; the concurrency
-        // witness (peak above any single job) is retried with fresh jobs
-        // until the overlap is observed.
+        // job can release before its round-mate acquires. Execution reuses
+        // the seed-0 units pricing computed, so a 1-seed job holds its slot
+        // only to evaluate and measure; the witness jobs carry 4 seeds at
+        // 256³ so each one simulates three seeds while holding its slot.
+        // The budget and completion invariants hold on every attempt; the
+        // concurrency witness (peak above any single job) is retried with
+        // fresh jobs until the overlap is observed.
+        let heavy = |seed| {
+            let req = quick(PatternKind::Gaussian, seed).with_seeds(4);
+            FleetJob::new(req.with_shape(GemmDims::square(256)))
+        };
         let mut max_single: f64 = 0.0;
         let mut completed = 0u64;
         let mut witnessed = false;
         for attempt in 0..5u64 {
-            let jobs: Vec<FleetJob> = (0..9)
-                .map(|i| FleetJob::new(quick(PatternKind::Gaussian, 7000 + 100 * attempt + i)))
-                .collect();
+            let jobs: Vec<FleetJob> = (0..9).map(|i| heavy(7000 + 100 * attempt + i)).collect();
             let answers = sched.run_batch(jobs);
             assert!(answers.iter().all(|a| a.is_ok()), "{answers:?}");
             completed += 9;
-            assert_eq!(sched.stats().completed, completed);
+            let stats = sched.stats();
+            assert_eq!(stats.completed, completed);
+            let rounds = stats.last_batch_rounds;
+            assert!(
+                rounds < 9,
+                "rounds must admit round-mates: {rounds} for 9 jobs"
+            );
             let peak = sched.peak_committed_w();
             assert!(peak > 0.0, "packed jobs must commit load");
             assert!(
@@ -2189,31 +2202,25 @@ mod tests {
     #[test]
     fn singles_warm_a_group_that_executes_only_the_residue() {
         let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 2), 2);
+        let run = |sched: &Scheduler, req| sched.submit(FleetJob::new(req)).recv().unwrap();
+        let group = |dims: &[usize]| {
+            let members = dims.iter().map(|&d| GemmDims::square(d)).collect();
+            quick(PatternKind::Gaussian, 42).with_group(members)
+        };
         // Warm two member shapes with plain singles. Each is itself one
-        // residue job in the member store; plain responses never carry
+        // residue job in the unit store; plain responses never carry
         // member flags.
         for d in [64, 96] {
-            let r = sched
-                .submit(FleetJob::new(
-                    quick(PatternKind::Gaussian, 42).with_shape(GemmDims::square(d)),
-                ))
-                .recv()
-                .unwrap();
+            let r = run(
+                &sched,
+                quick(PatternKind::Gaussian, 42).with_shape(GemmDims::square(d)),
+            );
             assert!(r.member_cached.is_empty(), "plain runs carry no flags");
         }
         let s = sched.stats();
         assert_eq!((s.member_cache_hits, s.member_residue_jobs), (0, 2));
         // The group overlaps both singles: only the 128 member runs.
-        let warm = sched
-            .submit(FleetJob::new(quick(PatternKind::Gaussian, 42).with_group(
-                vec![
-                    GemmDims::square(128),
-                    GemmDims::square(64),
-                    GemmDims::square(96),
-                ],
-            )))
-            .recv()
-            .unwrap();
+        let warm = run(&sched, group(&[128, 64, 96]));
         assert!(!warm.cache_hit);
         assert_eq!(
             warm.member_cached,
@@ -2224,13 +2231,7 @@ mod tests {
         assert_eq!((s.member_cache_hits, s.member_residue_jobs), (2, 3));
         // Full overlap: a distinct group spelled entirely from warmed
         // members misses the whole-result cache but simulates nothing.
-        let full = sched
-            .submit(FleetJob::new(
-                quick(PatternKind::Gaussian, 42)
-                    .with_group(vec![GemmDims::square(96), GemmDims::square(64)]),
-            ))
-            .recv()
-            .unwrap();
+        let full = run(&sched, group(&[96, 64]));
         assert!(!full.cache_hit, "distinct group: no whole-result entry");
         assert_eq!(full.member_cached, vec![true, true]);
         let s = sched.stats();
@@ -2241,31 +2242,13 @@ mod tests {
         );
         // A repeat of the first group replays the whole result, and the
         // replay reports every member as cached.
-        let replay = sched
-            .submit(FleetJob::new(quick(PatternKind::Gaussian, 42).with_group(
-                vec![
-                    GemmDims::square(64),
-                    GemmDims::square(96),
-                    GemmDims::square(128),
-                ],
-            )))
-            .recv()
-            .unwrap();
+        let replay = run(&sched, group(&[64, 96, 128]));
         assert!(replay.cache_hit);
         assert_eq!(replay.member_cached, vec![true, true, true]);
         // Reuse must be invisible in the numbers: a cold scheduler's
         // fresh run of the same group is bit-identical.
         let cold = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 2), 2);
-        let fresh = cold
-            .submit(FleetJob::new(quick(PatternKind::Gaussian, 42).with_group(
-                vec![
-                    GemmDims::square(96),
-                    GemmDims::square(128),
-                    GemmDims::square(64),
-                ],
-            )))
-            .recv()
-            .unwrap();
+        let fresh = run(&cold, group(&[96, 128, 64]));
         assert_eq!(
             *fresh.result, *warm.result,
             "partial member reuse changed the answer"
@@ -2320,7 +2303,10 @@ mod tests {
                 .device_accum
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            let _probes = inner.probes.lock().unwrap_or_else(PoisonError::into_inner);
+            let _features = inner
+                .features
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let _predictor = inner
                 .predictor
                 .lock()

@@ -6,8 +6,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use wm_core::{member_ordinals, RunRequest};
 use wm_fleet::{
-    canonical_key, member_activity_key, member_request_key, request_key, Fleet, FleetJob,
-    MemoCache, Scheduler,
+    canonical_key, member_request_key, request_key, unit_key, Fleet, FleetJob, MemoCache, Scheduler,
 };
 use wm_gpu::spec::{a100_pcie, h100_sxm5, rtx6000, v100_sxm2};
 use wm_gpu::{GemmDims, GpuSpec};
@@ -161,7 +160,10 @@ proptest! {
         let keys = |r: &RunRequest| -> Vec<(u64, u64)> {
             member_ordinals(r)
                 .into_iter()
-                .map(|(m, o)| (member_request_key(r, m, o), member_activity_key(r, m, o)))
+                .map(|(m, o)| {
+                    let member = member_request_key(r, m, o);
+                    (member, unit_key(member, r.seeds - 1))
+                })
                 .collect()
         };
         prop_assert_eq!(keys(&base), keys(&permuted));
@@ -173,8 +175,8 @@ proptest! {
                     member_request_key(&base, m, 0)
                 );
                 prop_assert_eq!(
-                    member_activity_key(&plain, m, 0),
-                    member_activity_key(&base, m, 0)
+                    unit_key(member_request_key(&plain, m, 0), plain.seeds - 1),
+                    unit_key(member_request_key(&base, m, 0), base.seeds - 1)
                 );
             }
         }

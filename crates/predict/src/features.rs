@@ -354,52 +354,32 @@ pub fn extract_features(
 
 /// Feature vector of a [`RunRequest`]'s first-seed operands.
 ///
-/// The operands come from [`wm_core::first_seed_group_operands`] — the
-/// single source of the first-seed contract shared with the fleet's
-/// activity probe — so features line up with the run the fleet will
-/// execute (including the kernel family and its operand shapes), without
-/// simulating anything. A grouped request streams **every member's**
-/// operand pair, in member order, through one mergeable accumulator —
-/// the group is featured (and therefore priced) as a unit, exactly as it
-/// executes and caches.
+/// The operands come from [`wm_core::first_seed_member_operands`] — the
+/// single source of the operand contract shared with the fleet's unit
+/// store and its analytic probe — so features line up with the run the
+/// fleet will execute (including the kernel family and its operand
+/// shapes), without simulating anything. A grouped request streams
+/// **every member's** operand pair, in canonical member order, through
+/// one mergeable accumulator — the group is featured (and therefore
+/// priced) as a unit, exactly as it executes and caches.
 pub fn features_for_request(req: &RunRequest) -> FeatureVector {
     let mut acc = FeatureAccumulator::new(req.dtype);
-    for (a, b) in wm_core::first_seed_group_operands(req) {
+    for (member, ordinal) in wm_core::member_ordinals(req) {
+        let (a, b) = wm_core::first_seed_member_operands(req, member, ordinal);
         acc.add_matrix(&a);
         acc.add_matrix(&b);
     }
     acc.finish_group(req.kernel, &req.member_dims())
 }
 
-/// Accumulate one canonical group member's first-seed operand pair (A
-/// then B, the member's slice of the request's operand stream) into a
-/// standalone accumulator — the member-granular unit of feature work.
-/// Because a member's operand streams are fixed by `(dims, ordinal)`
-/// alone, the chunk is shareable across requests: a plain request's chunk
-/// (`(req.dims(), 0)`) is bit-identical to the same member's chunk inside
-/// any group, and merging every member's chunk in canonical member order
-/// ([`features_from_member_chunks`]) reproduces [`features_for_request`]
-/// exactly — the accumulator's merge contract charges the chunk-boundary
-/// toggle.
-pub fn member_feature_chunk(
-    req: &RunRequest,
-    member: GemmDims,
-    ordinal: u64,
-) -> FeatureAccumulator {
-    let (a, b) = wm_core::first_seed_member_operands(req, member, ordinal);
-    let mut acc = FeatureAccumulator::new(req.dtype);
-    acc.add_matrix(&a);
-    acc.add_matrix(&b);
-    acc
-}
-
 /// Compose a request's feature vector from precomputed per-member chunks
-/// (one per canonical member, in [`wm_core::member_ordinals`] order).
-/// Bit-identical to [`features_for_request`]: fold order matches the
-/// sequential stream order, and the mergeable-accumulator contract makes
-/// chunked accumulation exact. This is the hit path of the fleet's
-/// member-granular feature cache — only missing chunks cost a walk over
-/// operand bytes.
+/// (one per canonical member, in [`wm_core::member_ordinals`] order; a
+/// chunk is one member's first-seed A then B folded into a fresh
+/// accumulator). Bit-identical to [`features_for_request`]: fold order
+/// matches the sequential stream order, and the mergeable-accumulator
+/// contract makes chunked accumulation exact. The fleet folds each chunk
+/// in the same pass that simulates the member's seed-0 activity, so a
+/// request's features never cost a second walk over operand bytes.
 ///
 /// # Panics
 ///
@@ -435,6 +415,20 @@ mod tests {
             spec.generate(dtype, dim, dim, &mut root.fork(0)),
             spec.generate(dtype, dim, dim, &mut root.fork(1)),
         )
+    }
+
+    /// One member's first-seed chunk, folded the way the fleet's unit
+    /// store folds it: A then B into a fresh accumulator.
+    fn member_feature_chunk(
+        req: &wm_core::RunRequest,
+        member: GemmDims,
+        ordinal: u64,
+    ) -> FeatureAccumulator {
+        let (a, b) = wm_core::first_seed_member_operands(req, member, ordinal);
+        let mut acc = FeatureAccumulator::new(req.dtype);
+        acc.add_matrix(&a);
+        acc.add_matrix(&b);
+        acc
     }
 
     fn features(kind: PatternKind, dtype: DType) -> FeatureVector {

@@ -41,8 +41,8 @@ pub mod predictor;
 pub mod sketch;
 
 pub use features::{
-    extract_features, features_for_request, features_from_member_chunks, member_feature_chunk,
-    FeatureAccumulator, FeatureVector, FEATURE_DIM,
+    extract_features, features_for_request, features_from_member_chunks, FeatureAccumulator,
+    FeatureVector, FEATURE_DIM,
 };
 pub use predictor::{
     ModelStats, PowerPredictor, Prediction, PredictorState, SavedModel, DEFAULT_MIN_OBSERVATIONS,

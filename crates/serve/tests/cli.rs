@@ -1,12 +1,13 @@
 //! CLI-surface regression tests for the `wattd` binary: flag parsing
 //! outcomes that unit tests cannot see because `parse_args` lives in the
-//! binary. Each case drives the real executable (`CARGO_BIN_EXE_wattd`)
-//! with an address that can never bind, so a successfully *parsed*
-//! command line fails at bind time (exit 1, "cannot bind") instead of
-//! holding a port, while a rejected one exits 2 before touching the
-//! network.
+//! binary, and whole-process survival of hostile stdio input. The flag
+//! cases drive the real executable (`CARGO_BIN_EXE_wattd`) with an
+//! address that can never bind, so a successfully *parsed* command line
+//! fails at bind time (exit 1, "cannot bind") instead of holding a port,
+//! while a rejected one exits 2 before touching the network.
 
-use std::process::Command;
+use std::io::Write;
+use std::process::{Command, Stdio};
 
 fn wattd(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_wattd"))
@@ -61,4 +62,38 @@ fn snapshot_secs_rejects_non_numbers() {
         assert_eq!(out.status.code(), Some(2), "{bad:?}: {stderr}");
         assert!(stderr.contains("non-negative"), "{bad:?}: {stderr}");
     }
+}
+
+/// A 400 KB line of 200k `[` then 200k `]` stays under the 1 MiB line
+/// cap but nests far past the parser's depth limit. The stdio daemon
+/// must answer it with a clean error line and keep serving, instead of
+/// overflowing the stack and aborting the process.
+#[test]
+fn stdio_survives_a_deeply_nested_line() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_wattd"))
+        .args(["--gpus", "a100"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn wattd");
+    let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    {
+        let mut stdin = child.stdin.take().expect("stdin");
+        writeln!(stdin, "{deep}").expect("write deep line");
+        writeln!(stdin, r#"{{"id": 2, "op": "ping"}}"#).expect("write ping");
+    }
+    let out = child.wait_with_output().expect("wattd exits");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "wattd died: {:?} {stderr}",
+        out.status
+    );
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(lines[0].contains(r#""ok":false"#), "{}", lines[0]);
+    assert!(lines[0].contains("nesting"), "{}", lines[0]);
+    assert!(lines[1].contains(r#""pong":true"#), "{}", lines[1]);
 }

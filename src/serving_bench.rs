@@ -257,6 +257,8 @@ struct PointOutcome {
     lookups: u64,
     member_hits: u64,
     member_residues: u64,
+    operand_bytes: u64,
+    activity_sims: u64,
     peak_committed_w: f64,
     trace_jsonl: Vec<String>,
 }
@@ -336,6 +338,8 @@ fn run_point(cfg: &BenchConfig, target_hit_ratio: f64, point_idx: u64) -> PointO
     let misses = reg.counter("fleet_cache_misses_total", &[]).get();
     let member_hits = reg.counter("fleet_member_cache_hits_total", &[]).get();
     let member_residues = reg.counter("fleet_member_residue_jobs_total", &[]).get();
+    let operand_bytes = reg.counter("fleet_operand_bytes_total", &[]).get();
+    let activity_sims = reg.counter("fleet_activity_sims_total", &[]).get();
     let joules = gauge_family_sum(&sched, "device_energy_j");
     let peak_committed_w = reg.gauge("fleet_peak_committed_w", &[]).get();
     let latency = latency_sketch(&sched);
@@ -371,6 +375,8 @@ fn run_point(cfg: &BenchConfig, target_hit_ratio: f64, point_idx: u64) -> PointO
         ("cache_hit_rate", Json::Num(hit_rate)),
         ("member_cache_hits", Json::Num(member_hits as f64)),
         ("member_residue_jobs", Json::Num(member_residues as f64)),
+        ("operand_bytes", Json::Num(operand_bytes as f64)),
+        ("activity_sims", Json::Num(activity_sims as f64)),
         ("peak_committed_w", Json::Num(peak_committed_w)),
         ("trace_spans", Json::Num(trace_jsonl.len() as f64)),
     ]);
@@ -384,6 +390,8 @@ fn run_point(cfg: &BenchConfig, target_hit_ratio: f64, point_idx: u64) -> PointO
         lookups,
         member_hits,
         member_residues,
+        operand_bytes,
+        activity_sims,
         peak_committed_w,
         trace_jsonl,
     }
@@ -409,6 +417,7 @@ pub fn run(cfg: &BenchConfig) -> BenchRun {
     let mut merged = LogHistogram::new();
     let (mut requests, mut hits, mut lookups) = (0u64, 0u64, 0u64);
     let (mut member_hits, mut member_residues) = (0u64, 0u64);
+    let (mut operand_bytes, mut activity_sims) = (0u64, 0u64);
     let (mut wall_s, mut joules, mut peak_w) = (0.0f64, 0.0f64, 0.0f64);
     let mut trace_jsonl = Vec::new();
     for (i, &ratio) in cfg.hit_ratios.iter().enumerate() {
@@ -419,6 +428,8 @@ pub fn run(cfg: &BenchConfig) -> BenchRun {
         lookups += p.lookups;
         member_hits += p.member_hits;
         member_residues += p.member_residues;
+        operand_bytes += p.operand_bytes;
+        activity_sims += p.activity_sims;
         wall_s += p.wall_s;
         joules += p.joules;
         peak_w = peak_w.max(p.peak_committed_w);
@@ -452,6 +463,8 @@ pub fn run(cfg: &BenchConfig) -> BenchRun {
         ),
         ("member_cache_hits", Json::Num(member_hits as f64)),
         ("member_residue_jobs", Json::Num(member_residues as f64)),
+        ("operand_bytes", Json::Num(operand_bytes as f64)),
+        ("activity_sims", Json::Num(activity_sims as f64)),
         ("peak_committed_w", Json::Num(peak_w)),
         ("sweep", Json::Arr(points)),
     ]);
@@ -590,6 +603,9 @@ mod tests {
         };
         assert!(num("member_cache_hits") > 0.0, "{}", run.artifact);
         assert!(num("member_residue_jobs") > 0.0, "{}", run.artifact);
+        // Fresh work is counted in machine-independent units.
+        assert!(num("activity_sims") > 0.0, "{}", run.artifact);
+        assert!(num("operand_bytes") > 0.0, "{}", run.artifact);
         assert!(!run.trace_jsonl.is_empty(), "spans were recorded");
         for line in &run.trace_jsonl {
             assert!(wm_fleet::json::Json::parse(line).is_ok(), "{line}");

@@ -428,6 +428,31 @@ fn oversized_and_malformed_lines_are_isolated_to_their_session() {
 }
 
 #[test]
+fn deeply_nested_lines_are_rejected_and_other_sessions_survive() {
+    // 200k `[` then 200k `]`: 400 KB, under the 1 MiB line cap, but far
+    // past the parser's nesting limit. Without the limit the recursive
+    // parser overflows the stack and takes the whole server down.
+    let server = spawn_server(ServeConfig::default());
+    let mut hostile = Client::connect(&server.addr);
+    let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    let resp = hostile.round_trip(&deep);
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp}");
+    assert!(
+        resp.get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("nesting")),
+        "error names the nesting limit: {resp}"
+    );
+    // The offending session keeps serving, and so does a second one.
+    let resp = hostile.round_trip(r#"{"id": 2, "op": "ping"}"#);
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+    let mut other = Client::connect(&server.addr);
+    let resp = other.round_trip(RUN_A);
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+    server.stop();
+}
+
+#[test]
 fn abrupt_disconnect_mid_batch_does_not_wedge_the_server() {
     let server = spawn_server(ServeConfig::default());
     {

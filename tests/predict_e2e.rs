@@ -5,11 +5,11 @@
 //! when observations are adversarially corrupted, the drift fallback
 //! must pull the model out of serving and answer analytically instead.
 
-use wattmul_repro::core::RunRequest;
+use wattmul_repro::core::{first_seed_member_operands, simulate_member_activity, RunRequest};
 use wattmul_repro::fleet::json::Json;
-use wattmul_repro::fleet::{probe_activity, serve, Fleet, Scheduler};
+use wattmul_repro::fleet::{serve, Fleet, Scheduler};
 use wattmul_repro::gpu::spec::a100_pcie;
-use wattmul_repro::power::evaluate_group;
+use wattmul_repro::power::evaluate;
 use wattmul_repro::telemetry::VmInstance;
 
 const DIM: usize = 96;
@@ -54,13 +54,14 @@ fn training_lines(rounds: u64) -> Vec<String> {
 }
 
 /// The analytic ground truth the acceptance bound compares against: the
-/// power model evaluated on the request's probe activity, on the fleet's
-/// single device (VM instance 0, whose process-variation offset every
-/// measurement carries).
+/// power model evaluated on the request's seed-0 activity (its analytic
+/// probe), on the fleet's single device (VM instance 0, whose
+/// process-variation offset every measurement carries).
 fn model_evaluated_watts(req: &RunRequest) -> f64 {
     let gpu = a100_pcie();
     let vm = VmInstance::provision(&gpu, 0);
-    evaluate_group(&gpu, &probe_activity(req)).total_w + vm.offset_w
+    let (a, b) = first_seed_member_operands(req, req.dims(), 0);
+    evaluate(&gpu, &simulate_member_activity(req, req.dims(), &a, &b)).total_w + vm.offset_w
 }
 
 fn unseen_request(base_seed: u64) -> RunRequest {
