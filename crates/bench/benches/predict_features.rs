@@ -33,7 +33,7 @@ fn bench(c: &mut Criterion) {
         });
     }
     // End-to-end per-request cost (operand generation + extraction),
-    // the quantity the scheduler's feature cache amortises.
+    // the quantity the seed-0 units in the scheduler's unit store amortise.
     let req = wm_core::RunRequest::new(
         dtype,
         512,

@@ -8,52 +8,10 @@
 //! and reports how the effect sizes change — the shape a practitioner
 //! needs before applying §V-style transforms to serving workloads.
 
-use crate::profile::RunProfile;
-use crate::runner::{FigureResult, PointStat, Series};
-use wm_bits::Xoshiro256pp;
-use wm_fleet::parallel_map;
-use wm_gpu::spec::a100_pcie;
-use wm_kernels::{simulate_gemv, GemvConfig};
-use wm_numerics::{DType, Gaussian};
-use wm_patterns::{PatternKind, PatternSpec};
-use wm_power::evaluate;
-use wm_telemetry::{measure, MeasurementConfig, VmInstance};
+use crate::common::*;
+use wm_kernels::KernelClass;
 
 const SWEEP: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
-
-fn gemv_power(dtype: DType, dim: usize, kind: PatternKind, seeds: u64) -> (f64, f64) {
-    let gpu = a100_pcie();
-    let vm = VmInstance::provision(&gpu, 0);
-    let powers: Vec<f64> = (0..seeds)
-        .map(|s| {
-            let mut root = Xoshiro256pp::seed_from_u64(0xE0 ^ s.wrapping_mul(0x9E37));
-            let a = PatternSpec::new(kind).generate(dtype, dim, dim, &mut root.fork(0));
-            let mut g = Gaussian::new(0.0, dtype.paper_sigma());
-            let mut rng = root.fork(1);
-            let x: Vec<f32> = (0..dim).map(|_| g.sample_f32(&mut rng)).collect();
-            let act = simulate_gemv(&a, &x, None, &GemvConfig::new(dtype)).activity;
-            let breakdown = evaluate(&gpu, &act);
-            let iterations = ((1.6 / breakdown.t_iter_s).ceil() as u64).max(10);
-            measure(
-                &gpu,
-                &breakdown,
-                iterations,
-                &vm,
-                root.next_u64(),
-                &MeasurementConfig::default(),
-            )
-            .1
-            .mean_power_w
-        })
-        .collect();
-    let mean = powers.iter().sum::<f64>() / powers.len() as f64;
-    let var = if powers.len() > 1 {
-        powers.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / (powers.len() - 1) as f64
-    } else {
-        0.0
-    };
-    (mean, var.sqrt())
-}
 
 fn sweep_figure(
     profile: &RunProfile,
@@ -62,26 +20,20 @@ fn sweep_figure(
     x_label: &str,
     kind: fn(f64) -> PatternKind,
 ) -> FigureResult {
-    let xs = profile.thin(&SWEEP);
-    let jobs: Vec<(DType, f64)> = DType::ALL
-        .iter()
-        .flat_map(|&dt| xs.iter().map(move |&x| (dt, x)))
-        .collect();
-    let results: Vec<(DType, PointStat)> = parallel_map(jobs, |(dtype, x)| {
-        let (y, yerr) = gemv_power(dtype, profile.dim, kind(x), profile.seeds);
-        (dtype, PointStat { x, y, yerr })
-    });
-    let series = DType::ALL
-        .iter()
-        .map(|&dt| Series {
-            name: dt.label().to_string(),
-            points: results
-                .iter()
-                .filter(|(d, _)| *d == dt)
-                .map(|(_, p)| *p)
-                .collect(),
-        })
-        .collect();
+    let mut points = Vec::new();
+    for &dtype in &DType::ALL {
+        for &x in &profile.thin(&SWEEP) {
+            points.push(SweepPoint {
+                series: dtype.label().to_string(),
+                x,
+                request: profile
+                    .request(dtype, PatternSpec::new(kind(x)))
+                    .with_kernel(KernelClass::Gemv),
+                gpu: a100_pcie(),
+                metric: Metric::PowerW,
+            });
+        }
+    }
     FigureResult {
         id: id.into(),
         title: title.into(),
@@ -93,7 +45,7 @@ fn sweep_figure(
              DRAM bus toggles."
                 .into(),
         ],
-        series,
+        series: collect_series(&execute(points)),
     }
 }
 
@@ -120,6 +72,7 @@ pub fn run(profile: &RunProfile) -> Vec<FigureResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wm_core::{PowerLab, RunRequest};
 
     #[test]
     fn gemv_trends_match_gemm_directions() {
@@ -141,7 +94,14 @@ mod tests {
 
     #[test]
     fn gemv_power_sits_below_gemm_power() {
-        let (gemv, _) = gemv_power(DType::Fp16Tensor, 1024, PatternKind::Gaussian, 1);
+        let req = RunRequest::new(
+            DType::Fp16Tensor,
+            1024,
+            PatternSpec::new(PatternKind::Gaussian),
+        )
+        .with_seeds(1)
+        .with_kernel(KernelClass::Gemv);
+        let gemv = PowerLab::new(a100_pcie()).run(&req).power.mean;
         // GEMM at the same size draws well over 200 W (see wm-power
         // calibration); memory-bound GEMV stays far below.
         assert!(gemv < 200.0, "GEMV power {gemv} implausibly high");

@@ -245,14 +245,13 @@ pub fn write_request(h: &mut CanonicalHasher, req: &RunRequest) {
     }
 }
 
-/// Device-independent key of a request, used for the feature cache and
-/// as the placement tie salt: input features do not depend on the device,
-/// and the extractor walks only the first seed's operands. Fields that
-/// cannot move them — `iterations` (a repeat count) and `seeds` (how many
-/// operand sets a *run* averages) — are deliberately excluded, so
-/// requests differing only in those share one feature vector. The full
-/// memo key ([`canonical_key`]) keeps them: they do change a run's
-/// averaged result.
+/// Device-independent key of a request, used only as the placement tie
+/// salt: requests that read the same seed-0 operands break placement ties
+/// the same way. Fields that cannot move those operands — `iterations` (a
+/// repeat count) and `seeds` (how many operand sets a *run* averages) —
+/// are deliberately excluded, so requests differing only in those land on
+/// the same device. The full memo key ([`canonical_key`]) keeps them:
+/// they do change a run's averaged result.
 pub fn request_key(req: &RunRequest) -> u64 {
     let mut h = CanonicalHasher::new();
     write_activity_fields(&mut h, req);
@@ -400,9 +399,9 @@ mod tests {
 
     #[test]
     fn probe_key_ignores_iterations_and_seed_count() {
-        // The feature cache walks only the first seed's operands; neither
+        // The placement salt follows the first seed's operands; neither
         // `iterations` nor `seeds` changes that data, so requests
-        // differing only there must share one entry.
+        // differing only there must share one salt.
         let base = request_key(&req());
         assert_eq!(base, request_key(&req().with_iterations(100)));
         assert_eq!(base, request_key(&req().with_iterations(20_000)));

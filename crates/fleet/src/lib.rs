@@ -41,8 +41,6 @@
 //!   placement → execute → feedback) in the scheduler's bounded trace
 //!   ring. [`answer_streamed`] additionally streams a `batch` as one
 //!   response line per packed round.
-//! * [`par`] — an order-preserving `parallel_map` over scoped threads for
-//!   non-`RunRequest` fan-outs (the GEMV sweeps).
 //!
 //! ```
 //! use wm_fleet::{Fleet, FleetJob, Scheduler};
@@ -68,7 +66,6 @@ pub mod cache;
 pub mod device;
 pub mod hash;
 pub mod json;
-pub mod par;
 pub mod placement;
 pub mod protocol;
 pub mod scheduler;
@@ -76,7 +73,6 @@ pub mod scheduler;
 pub use cache::{MemoCache, SeedUnit};
 pub use device::{Fleet, FleetBuilder, FleetDevice};
 pub use hash::{canonical_key, member_request_key, request_key, unit_key, CanonicalHasher};
-pub use par::parallel_map;
 pub use placement::{place, place_learned, Placement, PlacementError, PredictionSource};
 pub use protocol::{answer, answer_streamed, answer_streamed_with_default, serve};
 pub use scheduler::{

@@ -36,7 +36,7 @@
 //! has only learned GEMM is priced analytically, never from the wrong
 //! regime's coefficients.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -294,10 +294,6 @@ struct Task {
 struct Inner {
     fleet: Fleet,
     cache: MemoCache,
-    /// Request-keyed feature cache: input features are device-independent,
-    /// and one merge of the members' seed-0 chunks serves placement,
-    /// prediction, and the training feedback of every repeat.
-    features: Mutex<HashMap<u64, Arc<FeatureVector>>>,
     /// The shared online power predictor, trained from completed runs.
     predictor: Mutex<PowerPredictor>,
     /// Per-device execution accumulators (fresh computes only).
@@ -393,7 +389,6 @@ impl Scheduler {
         let inner = Arc::new(Inner {
             fleet,
             cache: MemoCache::new(16),
-            features: Mutex::new(HashMap::new()),
             predictor: Mutex::new(PowerPredictor::new()),
             device_accum: Mutex::new(vec![DeviceAccum::default(); n_devices]),
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -471,10 +466,10 @@ impl Scheduler {
     /// Execution order is **power-packed**, not FIFO: every auto-placed
     /// job is priced up front exactly as placement will price it (learned
     /// models when trained and healthy, the analytic probe otherwise —
-    /// features and member-seed units are cached, so nothing is paid
-    /// twice), and the
-    /// priced jobs are first-fit-decreasing packed into concurrency
-    /// rounds against the fleet power budget ([`pack_ffd`]). Each round
+    /// member-seed units are cached, so no operand stream is walked
+    /// twice), and the priced jobs are first-fit-decreasing packed into
+    /// concurrency rounds against the fleet power budget ([`pack_ffd`]).
+    /// Pricing runs inline on the submitting thread. Each round
     /// fills the budget with the heaviest jobs that fit together — one
     /// job per device, total planned draw under the budget — instead of
     /// trickling jobs through in submission order and stranding budget
@@ -541,13 +536,13 @@ impl Scheduler {
     ) {
         let inner = &*self.inner;
         let pack_span = inner.tracer.start(parent_rid, stage::PACK);
-        // Price the whole batch in parallel (order-preserving fan-out;
-        // features and seed-0 units land in the shared caches, so the
-        // workers executing the rounds reuse them). `None` marks a job the
-        // packer must not touch.
-        let pricing: Vec<Option<(usize, f64)>> =
-            crate::par::parallel_map((0..jobs.len()).collect(), |i| {
-                let job = &jobs[i];
+        // Price the batch inline on the submitting thread. The seed-0
+        // units pricing computes land in the unit store, so the workers
+        // executing the rounds reuse them. `None` marks a job the packer
+        // must not touch.
+        let pricing: Vec<Option<(usize, f64)>> = jobs
+            .iter()
+            .map(|job| {
                 if job.pin.is_some() {
                     return None;
                 }
@@ -577,7 +572,8 @@ impl Scheduler {
                 .ok()
                 .and_then(Result::ok)
                 .map(|p| (p.device, p.planned_power_w))
-            });
+            })
+            .collect();
         let mut bypass: Vec<usize> = Vec::new();
         let mut priced_jobs: Vec<usize> = Vec::new();
         let mut priced: Vec<(usize, f64)> = Vec::new();
@@ -1099,22 +1095,16 @@ fn probe(inner: &Inner, req: &RunRequest) -> Vec<ActivityRecord> {
         .collect()
 }
 
-fn request_features(inner: &Inner, req: &RunRequest) -> Arc<FeatureVector> {
-    let key = request_key(req);
-    if let Some(f) = lock_clean(&inner.features).get(&key) {
-        return Arc::clone(f);
-    }
-    // Merge the members' seed-0 chunks in canonical member order —
-    // bit-identical to the sequential full-stream extraction (the
-    // mergeable-accumulator contract charges the chunk-boundary toggles).
+/// The request's input features: a merge of its members' seed-0 chunks in
+/// canonical member order — bit-identical to the sequential full-stream
+/// extraction (the mergeable-accumulator contract charges the
+/// chunk-boundary toggles). The chunks live in the unit store, so this is
+/// a view over it, not a second store.
+fn request_features(inner: &Inner, req: &RunRequest) -> FeatureVector {
     let units = seed0_units(inner, req);
     let chunks: Vec<&FeatureAccumulator> =
         units.iter().filter_map(|u| u.chunk.as_deref()).collect();
-    let features = Arc::new(features_from_member_chunks(req, &chunks));
-    lock_clean(&inner.features)
-        .entry(key)
-        .or_insert(features)
-        .clone()
+    features_from_member_chunks(req, &chunks)
 }
 
 /// Execute a request from its member-seed units — seed 0 is usually in the
@@ -1218,7 +1208,8 @@ struct SlotGuard<'a> {
 
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        if let Ok(mut load) = self.inner.load_w.lock() {
+        {
+            let mut load = lock_clean(&self.inner.load_w);
             load[self.device] = (load[self.device] - self.watts).max(0.0);
         }
         self.inner.load_freed.notify_all();
@@ -1300,12 +1291,14 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
     // around it (none today) and keeps the trail well-formed regardless.
     let rid = job.request_id.unwrap_or(0);
     let tracer = &inner.tracer;
-    let (device_id, plan) = match job.pin {
+    // Auto jobs extract features once, for pricing and for the feedback
+    // step; pinned jobs extract them only if they run fresh.
+    let (device_id, plan, features) = match job.pin {
         Some(id) => {
             if inner.fleet.device(id).is_none() {
                 return Err(FleetError::UnknownDevice(id));
             }
-            (id, None)
+            (id, None, None)
         }
         None => {
             // Answer stability across model evolution: if *any* device
@@ -1355,7 +1348,7 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
                     .map(|p| p.clock_scale)
                     .unwrap_or(1.0)
             ));
-            (placement.device, Some(placement))
+            (placement.device, Some(placement), Some(features))
         }
     };
 
@@ -1429,11 +1422,8 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
             }
             a.util_pct_sum += result.utilization_pct;
         }
-        // Features are fetched here (not up front) so pinned jobs and
-        // cache hits never pay for an extraction they don't need; for
-        // auto jobs this is an Arc clone out of the per-request cache.
         let feedback = tracer.start(rid, stage::FEEDBACK);
-        let features = request_features(inner, &job.request);
+        let features = features.unwrap_or_else(|| request_features(inner, &job.request));
         lock_clean(&inner.predictor).observe(
             dev.gpu.name,
             job.request.kernel,
@@ -2288,7 +2278,7 @@ mod tests {
 
     #[test]
     fn poisoned_locks_recover_instead_of_wedging() {
-        // A panic while holding a stats/cache/predictor lock poisons it;
+        // A panic while holding a stats/load/predictor lock poisons it;
         // every read and write through those locks must recover (the data
         // is a monotone accumulator, stale at worst) instead of cascading
         // the panic into all later requests.
@@ -2303,10 +2293,7 @@ mod tests {
                 .device_accum
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            let _features = inner
-                .features
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let _load = inner.load_w.lock().unwrap_or_else(PoisonError::into_inner);
             let _predictor = inner
                 .predictor
                 .lock()
@@ -2315,6 +2302,7 @@ mod tests {
         })
         .join();
         assert!(sched.inner.device_accum.is_poisoned());
+        assert!(sched.inner.load_w.is_poisoned());
         // Reads recover...
         assert_eq!(sched.device_stats()[0].jobs, 1);
         assert_eq!(sched.probed_requests(), 1);
@@ -2324,6 +2312,9 @@ mod tests {
             .submit(FleetJob::new(quick(PatternKind::Gaussian, 2)))
             .recv();
         assert!(fresh.is_ok(), "{fresh:?}");
+        // The fresh job released its device slot through the poisoned
+        // lock; a leaked reservation would wedge every later placement.
+        assert_eq!(lock_clean(&sched.inner.load_w)[0], 0.0);
         let hit = sched
             .submit(FleetJob::new(quick(PatternKind::Gaussian, 1)))
             .recv()

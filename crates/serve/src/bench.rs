@@ -16,7 +16,7 @@
 //! Every number in the artifact comes from a `wm-obs` [`Registry`] the
 //! clients record into, plus one `stats` round-trip whose response is
 //! embedded verbatim under `"server"` — the benchmark keeps no books of
-//! its own. Run it via `examples/wattd_load.rs` or `wattd bench`.
+//! its own. Run it via `examples/wattd_load.rs`.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -90,11 +90,14 @@ impl LoadConfig {
     }
 }
 
-/// SplitMix64 — the deterministic draw behind arrivals and the mix.
-struct Rng(u64);
+/// SplitMix64 — the deterministic draw behind arrivals and the request
+/// mix of both open-loop harnesses (this one and the in-process
+/// `serving_bench`). The field is the generator state; seed it directly.
+pub struct Rng(pub u64);
 
 impl Rng {
-    fn next_u64(&mut self) -> u64 {
+    /// The next raw 64-bit draw.
+    pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -103,12 +106,19 @@ impl Rng {
     }
 
     /// Uniform in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
+    pub fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+    /// One of `items`, uniformly.
+    pub fn pick<T: Copy>(&mut self, items: &[T]) -> T {
         items[(self.next_u64() % items.len() as u64) as usize]
+    }
+
+    /// An exponential interarrival gap, seconds, for Poisson arrivals at
+    /// `rate_rps` per second.
+    pub fn arrival_gap_s(&mut self, rate_rps: f64) -> f64 {
+        -(1.0 - self.unit()).ln() / rate_rps
     }
 }
 
@@ -219,7 +229,7 @@ fn run_client(cfg: &LoadConfig, client_idx: u64, reg: &Registry) -> std::io::Res
     let mut at = 0.0f64;
     let plan: Vec<(f64, u64, String)> = (0..cfg.requests_per_client as u64)
         .map(|i| {
-            at += -(1.0 - rng.unit()).ln() / cfg.arrival_rate_rps;
+            at += rng.arrival_gap_s(cfg.arrival_rate_rps);
             let seed = (client_idx << 32) | (i + 1);
             (at, i, request_line(&mut rng, i, seed, &mut pool))
         })
@@ -388,25 +398,26 @@ pub fn run_load(cfg: &LoadConfig) -> std::io::Result<LoadReport> {
     Ok(LoadReport { artifact })
 }
 
-fn require_num(v: &Json, key: &str) -> Result<f64, String> {
+/// The numeric value of `key`, or an error naming it.
+pub fn require_num(v: &Json, key: &str) -> Result<f64, String> {
     v.get(key)
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("missing or non-numeric {key:?}"))
 }
 
-/// Validate a `BENCH_network.json` document: every required key present,
-/// throughput and tail latency positive, quantiles monotone, outcomes
-/// accounted (`ok + errors == requests`), streamed responses visible
-/// (`response_lines >= requests`), and a well-formed embedded `server`
-/// stats object. CI runs this against the freshly emitted artifact.
-pub fn validate(v: &Json) -> Result<(), String> {
-    for &key in REQUIRED_KEYS {
+/// The checks every open-loop artifact shares: each of `required_keys`
+/// present, `"bench"` equal to `bench`, a boolean `"smoke"`, positive
+/// `requests`, `wall_s` and `throughput_rps` that agree with each other,
+/// and monotone `p50_us <= p95_us <= p99_us` with a positive p95.
+/// Returns `requests` for the harness-specific checks that follow.
+pub fn validate_open_loop(v: &Json, bench: &str, required_keys: &[&str]) -> Result<f64, String> {
+    for &key in required_keys {
         if v.get(key).is_none() {
             return Err(format!("missing required key {key:?}"));
         }
     }
-    if v.get("bench").and_then(Json::as_str) != Some("network") {
-        return Err("\"bench\" must be \"network\"".to_string());
+    if v.get("bench").and_then(Json::as_str) != Some(bench) {
+        return Err(format!("\"bench\" must be {bench:?}"));
     }
     if v.get("smoke").and_then(Json::as_bool).is_none() {
         return Err("\"smoke\" must be a boolean".to_string());
@@ -425,12 +436,6 @@ pub fn validate(v: &Json) -> Result<(), String> {
             requests / wall_s
         ));
     }
-    let (ok, errors) = (require_num(v, "ok")?, require_num(v, "errors")?);
-    if (ok + errors - requests).abs() > 0.5 {
-        return Err(format!(
-            "ok ({ok}) + errors ({errors}) must account for every request ({requests})"
-        ));
-    }
     let (p50, p95, p99) = (
         require_num(v, "p50_us")?,
         require_num(v, "p95_us")?,
@@ -443,6 +448,22 @@ pub fn validate(v: &Json) -> Result<(), String> {
     }
     if p95 <= 0.0 {
         return Err(format!("p95_us must be positive, got {p95}"));
+    }
+    Ok(requests)
+}
+
+/// Validate a `BENCH_network.json` document: the shared open-loop checks
+/// ([`validate_open_loop`]), outcomes accounted (`ok + errors ==
+/// requests`), streamed responses visible (`response_lines >=
+/// requests`), and a well-formed embedded `server` stats object. CI runs
+/// this against the freshly emitted artifact.
+pub fn validate(v: &Json) -> Result<(), String> {
+    let requests = validate_open_loop(v, "network", REQUIRED_KEYS)?;
+    let (ok, errors) = (require_num(v, "ok")?, require_num(v, "errors")?);
+    if (ok + errors - requests).abs() > 0.5 {
+        return Err(format!(
+            "ok ({ok}) + errors ({errors}) must account for every request ({requests})"
+        ));
     }
     if require_num(v, "response_lines")? < requests {
         return Err("response_lines must cover at least one line per request".to_string());

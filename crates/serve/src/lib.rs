@@ -27,14 +27,16 @@
 //!   start answers `predict` from learned models immediately instead of
 //!   re-paying the training ramp.
 //! * [`mod@bench`] — the open-loop network load generator behind
-//!   `examples/wattd_load.rs` and `wattd bench`: Poisson arrivals, a
+//!   `examples/wattd_load.rs`: Poisson arrivals, a
 //!   prefill/decode/grouped/batch mix, N concurrent TCP clients, and a
 //!   validated `BENCH_network.json` artifact built from `wm-obs`
-//!   registry snapshots.
+//!   registry snapshots. It also holds the artifact helpers both
+//!   open-loop harnesses share (the SplitMix draw and the common
+//!   validator checks).
 //!
 //! The `wattd` binary lives here (it needs both the protocol and the
 //! server): legacy stdin/stdout mode stays the default, `wattd serve`
-//! binds the network service, `wattd bench` self-benchmarks one.
+//! binds the network service.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

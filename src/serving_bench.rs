@@ -32,6 +32,7 @@ use wm_kernels::{KernelClass, Sampling};
 use wm_numerics::DType;
 use wm_obs::{LogHistogram, MetricValue, Registry, Tracer};
 use wm_patterns::{PatternKind, PatternSpec};
+use wm_serve::bench::{require_num, validate_open_loop, Rng};
 
 /// Keys every `BENCH_serving.json` artifact must carry at top level.
 /// [`validate`] enforces them; CI checks the emitted file against it.
@@ -110,28 +111,6 @@ impl BenchConfig {
             seed: 0x5eed_beef,
             smoke: false,
         }
-    }
-}
-
-/// SplitMix64 — the deterministic draw behind arrivals and the mix.
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
-        items[(self.next_u64() % items.len() as u64) as usize]
     }
 }
 
@@ -306,7 +285,7 @@ fn run_point(cfg: &BenchConfig, target_hit_ratio: f64, point_idx: u64) -> PointO
     let arrivals: Vec<f64> = plan
         .iter()
         .map(|_| {
-            at += -(1.0 - rng.unit()).ln() / cfg.arrival_rate_rps;
+            at += rng.arrival_gap_s(cfg.arrival_rate_rps);
             at
         })
         .collect();
@@ -474,55 +453,12 @@ pub fn run(cfg: &BenchConfig) -> BenchRun {
     }
 }
 
-fn require_num(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric {key:?}"))
-}
-
-/// Validate a `BENCH_serving.json` document: every required key present,
-/// throughput and tail latency positive, quantiles monotone, hit rate in
-/// range, and the top level consistent with its sweep points. CI runs
-/// this against the freshly emitted artifact.
+/// Validate a `BENCH_serving.json` document: the shared open-loop checks
+/// ([`validate_open_loop`]), hit rate in range, positive joules, and the
+/// top level consistent with its sweep points. CI runs this against the
+/// freshly emitted artifact.
 pub fn validate(v: &Json) -> Result<(), String> {
-    for &key in REQUIRED_KEYS {
-        if v.get(key).is_none() {
-            return Err(format!("missing required key {key:?}"));
-        }
-    }
-    if v.get("bench").and_then(Json::as_str) != Some("serving") {
-        return Err("\"bench\" must be \"serving\"".to_string());
-    }
-    if v.get("smoke").and_then(Json::as_bool).is_none() {
-        return Err("\"smoke\" must be a boolean".to_string());
-    }
-    let requests = require_num(v, "requests")?;
-    let wall_s = require_num(v, "wall_s")?;
-    let throughput = require_num(v, "throughput_rps")?;
-    if requests <= 0.0 || wall_s <= 0.0 || throughput <= 0.0 {
-        return Err(format!(
-            "requests ({requests}), wall_s ({wall_s}) and throughput_rps ({throughput}) must be positive"
-        ));
-    }
-    if (throughput - requests / wall_s).abs() > 1e-6 * throughput.max(1.0) {
-        return Err(format!(
-            "throughput_rps {throughput} inconsistent with requests/wall_s {}",
-            requests / wall_s
-        ));
-    }
-    let (p50, p95, p99) = (
-        require_num(v, "p50_us")?,
-        require_num(v, "p95_us")?,
-        require_num(v, "p99_us")?,
-    );
-    if !(p50 <= p95 && p95 <= p99) {
-        return Err(format!(
-            "quantiles not monotone: p50 {p50}, p95 {p95}, p99 {p99}"
-        ));
-    }
-    if p95 <= 0.0 {
-        return Err(format!("p95_us must be positive, got {p95}"));
-    }
+    let requests = validate_open_loop(v, "serving", REQUIRED_KEYS)?;
     let hit_rate = require_num(v, "cache_hit_rate")?;
     if !(0.0..=1.0).contains(&hit_rate) {
         return Err(format!("cache_hit_rate {hit_rate} outside [0, 1]"));
