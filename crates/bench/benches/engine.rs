@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the simulation hot paths: the sampled activity
-//! walk at several lattice densities, operand encoding, the memory bus
-//! pass, and the power-model evaluation.
+//! walk at several lattice densities, operand encoding, the feature fold
+//! over encoded planes, the memory bus pass, the power-model evaluation,
+//! and one whole member-seed unit as the fleet's unit store computes it.
 //!
 //! These are throughput benches (how fast the *simulator* runs), used to
 //! pick default sampling densities; the estimator-accuracy trade-off is
@@ -9,11 +10,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wm_bits::Xoshiro256pp;
+use wm_core::{member_seed_operands, simulate_member_activity_encoded, RunRequest};
 use wm_gpu::spec::a100_pcie;
 use wm_kernels::{memory, simulate, EncodedMatrix, GemmConfig, GemmInputs, Sampling};
 use wm_numerics::DType;
 use wm_patterns::{PatternKind, PatternSpec};
 use wm_power::evaluate;
+use wm_predict::FeatureAccumulator;
 
 fn bench(c: &mut Criterion) {
     let dtype = DType::Fp16Tensor;
@@ -40,6 +43,32 @@ fn bench(c: &mut Criterion) {
     }
     g.bench_function("encode_512_fp16", |bch| {
         bch.iter(|| black_box(EncodedMatrix::encode(&a, dtype)))
+    });
+    g.bench_function("encode_fold_512_fp16", |bch| {
+        bch.iter(|| {
+            let mut acc = FeatureAccumulator::new(dtype);
+            acc.add_encoded(&EncodedMatrix::encode(&a, dtype));
+            acc.add_encoded(&EncodedMatrix::encode(&b, dtype));
+            black_box(acc)
+        })
+    });
+    // One seed-0 unit: generate, encode each operand once, fold the
+    // feature chunk and simulate from the same planes.
+    let req =
+        RunRequest::new(dtype, dim, spec).with_sampling(Sampling::Lattice { rows: 4, cols: 4 });
+    g.bench_function("unit_512_fp16", |bch| {
+        bch.iter(|| {
+            let (ua, ub) = member_seed_operands(&req, req.dims(), 0, 0);
+            let (ea, eb) = (
+                EncodedMatrix::encode(&ua, dtype),
+                EncodedMatrix::encode(&ub, dtype),
+            );
+            let mut acc = FeatureAccumulator::new(dtype);
+            acc.add_encoded(&ea);
+            acc.add_encoded(&eb);
+            let act = simulate_member_activity_encoded(&req, req.dims(), &ua, &ub, &ea, &eb);
+            black_box((acc, act))
+        })
     });
     let encoded = EncodedMatrix::encode(&a, dtype);
     g.bench_function("bus_pass_512", |bch| {

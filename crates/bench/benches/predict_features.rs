@@ -1,7 +1,9 @@
 //! Throughput of the `wm-predict` single-pass feature extraction — the
 //! operation the fleet runs per distinct request *instead of* simulating
 //! the kernel, so its cost bounds how cheap learned admission can be.
-//! Benched against the activity probe it replaces, at matching sizes.
+//! `extract_*` encodes and folds pre-generated operands at three sizes;
+//! `features_for_request_512` adds operand generation. The fold over
+//! already-encoded planes alone is `engine/encode_fold_512_fp16`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -72,11 +72,17 @@ impl ByteHistogram {
         }
     }
 
-    /// Fold another histogram in (exact).
-    pub fn merge(&mut self, other: &ByteHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+    /// Add per-byte counts gathered elsewhere (exact): bin `b` grows by
+    /// `counts[b]`.
+    pub fn add_counts(&mut self, counts: &[u64; 256]) {
+        for (a, b) in self.counts.iter_mut().zip(counts) {
             *a += b;
         }
+    }
+
+    /// Fold another histogram in (exact).
+    pub fn merge(&mut self, other: &ByteHistogram) {
+        self.add_counts(&other.counts);
     }
 
     /// Total symbols counted.

@@ -80,13 +80,22 @@ pub fn hamming_distance<W: BitWord>(x: W, y: W) -> u32 {
     x.distance(y)
 }
 
+/// Words per block of a popcount sum. A block's total is at most
+/// `64 * 2^16 = 2^22` set bits, so it is summed in `u32` — which keeps the
+/// popcounts in 32-bit vector lanes instead of widening every word to
+/// `u64` — and blocks are widened once each.
+const SUM_BLOCK: usize = 1 << 16;
+
 /// Total Hamming weight of a slice of words.
 ///
 /// Used to compute the paper's Fig. 8 *average Hamming weight* statistic
 /// over a whole input matrix. The loop is written as a fold over the slice
 /// so the compiler can vectorize the popcounts.
 pub fn slice_hamming_weight<W: BitWord>(words: &[W]) -> u64 {
-    words.iter().map(|w| u64::from(w.weight())).sum()
+    words
+        .chunks(SUM_BLOCK)
+        .map(|block| u64::from(block.iter().map(|w| w.weight()).sum::<u32>()))
+        .sum()
 }
 
 /// Mean Hamming weight per word of a slice, `0.0` for an empty slice.
@@ -112,9 +121,9 @@ pub fn slice_hamming_distance<W: BitWord>(a: &[W], b: &[W]) -> u64 {
         b.len(),
         "hamming distance requires equal-length slices"
     );
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| u64::from(x.distance(y)))
+    a.chunks(SUM_BLOCK)
+        .zip(b.chunks(SUM_BLOCK))
+        .map(|(x, y)| u64::from(x.iter().zip(y).map(|(&x, &y)| x.distance(y)).sum::<u32>()))
         .sum()
 }
 
@@ -125,10 +134,19 @@ pub fn slice_hamming_distance<W: BitWord>(a: &[W], b: &[W]) -> u64 {
 /// slice is streamed in order — the fundamental cost model for operand
 /// delivery in the paper's hypothesis. Returns 0 for slices shorter than 2.
 pub fn stream_toggles<W: BitWord>(words: &[W]) -> u64 {
-    words
-        .windows(2)
-        .map(|w| u64::from(w[0].distance(w[1])))
-        .sum()
+    lagged_toggles(words, 1)
+}
+
+/// Total Hamming distance between every word and the word `lag` places
+/// later: `sum_i HD(words[i], words[i + lag])`. With `lag` lanes
+/// interleaved in storage order (word `i` on lane `i % lag`), this is the
+/// toggle count summed over the lanes. Returns 0 when the slice holds at
+/// most `lag` words.
+pub fn lagged_toggles<W: BitWord>(words: &[W], lag: usize) -> u64 {
+    match words.get(lag..) {
+        Some(later) => slice_hamming_distance(&words[..later.len()], later),
+        None => 0,
+    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 use wm_bits::Xoshiro256pp;
 use wm_gpu::{GemmDims, GpuSpec};
 use wm_kernels::{
-    simulate, simulate_gemv, ActivityRecord, GemmConfig, GemmInputs, GemvConfig, KernelClass,
-    Sampling,
+    simulate_encoded, simulate_gemv_encoded, ActivityRecord, EncodedMatrix, GemmConfig, GemmInputs,
+    GemvConfig, KernelClass, Sampling,
 };
 use wm_matrix::Matrix;
 use wm_numerics::DType;
@@ -140,24 +140,43 @@ pub fn first_seed_member_operands(
 /// [`member_seed_operands`]): the request supplies the shared
 /// configuration (kernel, dtype, transposition, sampling), the member its
 /// own `n x m x k`. Activity never reads the GPU spec, so one record
-/// serves every device and VM instance.
+/// serves every device and VM instance. Encodes both operands, then runs
+/// [`simulate_member_activity_encoded`].
 pub fn simulate_member_activity(
     req: &RunRequest,
     member: GemmDims,
     a: &Matrix,
     b: &Matrix,
 ) -> ActivityRecord {
+    let ea = EncodedMatrix::encode(a, req.dtype);
+    let eb = EncodedMatrix::encode(b, req.dtype);
+    simulate_member_activity_encoded(req, member, a, b, &ea, &eb)
+}
+
+/// [`simulate_member_activity`] over operands already encoded for
+/// `req.dtype` (`ea` is `a`'s plane, `eb` is `b`'s), so a caller that
+/// also folds features from the planes encodes each operand once.
+pub fn simulate_member_activity_encoded(
+    req: &RunRequest,
+    member: GemmDims,
+    a: &Matrix,
+    b: &Matrix,
+    ea: &EncodedMatrix,
+    eb: &EncodedMatrix,
+) -> ActivityRecord {
     match req.kernel {
         KernelClass::Gemm => {
             let cfg = GemmConfig::new(member, req.dtype)
                 .with_b_transposed(req.b_transposed)
                 .with_sampling(req.sampling);
-            simulate(
+            simulate_encoded(
                 &GemmInputs {
                     a,
                     b_stored: b,
                     c: None,
                 },
+                ea,
+                eb,
                 &cfg,
             )
             .activity
@@ -168,7 +187,7 @@ pub fn simulate_member_activity(
                 Sampling::Full => usize::MAX,
                 Sampling::Lattice { rows, .. } => rows,
             };
-            simulate_gemv(a, b.as_slice(), None, &cfg).activity
+            simulate_gemv_encoded(a, ea, eb, None, &cfg).activity
         }
     }
 }

@@ -28,7 +28,7 @@ pub mod lab;
 
 pub use lab::{
     first_seed_member_operands, member_ordinals, member_seed_operands, simulate_member_activity,
-    GroupRequest, PowerLab, RunRequest, RunResult,
+    simulate_member_activity_encoded, GroupRequest, PowerLab, RunRequest, RunResult,
 };
 
 /// Convenience re-exports for downstream users and examples.

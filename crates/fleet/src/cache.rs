@@ -14,9 +14,10 @@
 //!   requests, device- and VM-specific;
 //! * the **unit store** (`unit_key -> Arc<SeedUnit>`): one canonical
 //!   member's operand streams at one seed index — the only unit of
-//!   O(bytes) work. Its operands are generated once, walked once (the
-//!   seed-0 unit also folds the member's feature chunk), and dropped;
-//!   the unit keeps what the walk produced. Activity is
+//!   O(bytes) work. Its operands are generated once and encoded once;
+//!   the one encoded plane per operand feeds the feature fold (seed-0
+//!   units only), the bus pass and the MAC loop, and then everything is
+//!   dropped; the unit keeps what the walks produced. Activity is
 //!   device-independent, so one unit serves every device, and — because
 //!   the seed derivation fixes a member's operand streams by
 //!   `(dims, ordinal)` alone — a plain single request and a group
@@ -27,9 +28,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use wm_core::{member_seed_operands, simulate_member_activity, RunRequest, RunResult};
+use wm_core::{member_seed_operands, simulate_member_activity_encoded, RunRequest, RunResult};
 use wm_gpu::GemmDims;
-use wm_kernels::ActivityRecord;
+use wm_kernels::{ActivityRecord, EncodedMatrix};
 use wm_predict::FeatureAccumulator;
 
 use crate::hash::{member_request_key, unit_key};
@@ -252,6 +253,7 @@ pub struct MemoCache {
     member_hits: AtomicU64,
     member_residues: AtomicU64,
     operand_bytes: AtomicU64,
+    feature_bytes: AtomicU64,
     activity_sims: AtomicU64,
 }
 
@@ -268,6 +270,7 @@ impl MemoCache {
             member_hits: AtomicU64::new(0),
             member_residues: AtomicU64::new(0),
             operand_bytes: AtomicU64::new(0),
+            feature_bytes: AtomicU64::new(0),
             activity_sims: AtomicU64::new(0),
         }
     }
@@ -334,10 +337,11 @@ impl MemoCache {
     }
 
     /// One canonical member's unit at seed index `seed`, from the store
-    /// or computed here in one pass — generate the operands, fold the
-    /// feature chunk (seed 0 only), simulate the activity, drop the
-    /// operands — and published for every later reader. Concurrent callers
-    /// (twin requests, or a single and a group sharing the member) dedup
+    /// or computed here in one pass — generate the operands, encode each
+    /// once, fold the feature chunk from the planes (seed 0 only),
+    /// simulate the activity from the planes, drop everything — and
+    /// published for every later reader. Concurrent callers (twin
+    /// requests, or a single and a group sharing the member) dedup
     /// exactly like result entries: one computation, everyone else joins.
     /// `executing` marks a call from the run that consumes the unit (see
     /// [`SeedUnit::claim`]). Returns the unit and whether this call
@@ -352,17 +356,23 @@ impl MemoCache {
         let key = unit_key(member_request_key(req, member, ordinal), seed);
         let (unit, fetch) = self.units.get_or_compute(key, || {
             let (a, b) = member_seed_operands(req, member, ordinal, seed);
+            let (ea, eb) = (
+                EncodedMatrix::encode(&a, req.dtype),
+                EncodedMatrix::encode(&b, req.dtype),
+            );
+            let words = (a.len() + b.len()) as u64;
             let chunk = (seed == 0).then(|| {
                 let mut acc = FeatureAccumulator::new(req.dtype);
-                acc.add_matrix(&a);
-                acc.add_matrix(&b);
+                acc.add_encoded(&ea);
+                acc.add_encoded(&eb);
+                self.feature_bytes
+                    .fetch_add(words * req.dtype.bytes() as u64, Ordering::Relaxed);
                 acc
             });
-            let activity = simulate_member_activity(req, member, &a, &b);
-            let bytes = (a.len() + b.len()) * std::mem::size_of::<f32>();
-            drop((a, b));
+            let activity = simulate_member_activity_encoded(req, member, &a, &b, &ea, &eb);
+            drop((a, b, ea, eb));
             self.operand_bytes
-                .fetch_add(bytes as u64, Ordering::Relaxed);
+                .fetch_add(words * std::mem::size_of::<f32>() as u64, Ordering::Relaxed);
             self.activity_sims.fetch_add(1, Ordering::Relaxed);
             SeedUnit::new(activity, chunk, executing)
         });
@@ -430,6 +440,12 @@ impl MemoCache {
     /// computed.
     pub fn operand_bytes(&self) -> u64 {
         self.operand_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of encoded operand words folded into feature chunks (dtype
+    /// width per element), over every seed-0 unit computed.
+    pub fn feature_bytes(&self) -> u64 {
+        self.feature_bytes.load(Ordering::Relaxed)
     }
 
     /// Activity simulations run: one per unit computed.

@@ -223,6 +223,9 @@ pub struct SchedulerStats {
     pub operand_bytes: u64,
     /// Member-seed activity simulations run (one per unit computed).
     pub activity_sims: u64,
+    /// Bytes of encoded operand words folded into feature chunks (dtype
+    /// width per element), over every seed-0 unit computed.
+    pub feature_bytes: u64,
 }
 
 /// Per-device execution counters (fresh computes only; cache hits run
@@ -663,6 +666,7 @@ impl Scheduler {
             last_batch_rounds: self.inner.last_batch_rounds.load(Ordering::Relaxed),
             operand_bytes: self.inner.cache.operand_bytes(),
             activity_sims: self.inner.cache.activity_sims(),
+            feature_bytes: self.inner.cache.feature_bytes(),
         }
     }
 
@@ -700,6 +704,8 @@ impl Scheduler {
             .store(s.operand_bytes);
         reg.counter("fleet_activity_sims_total", &[])
             .store(s.activity_sims);
+        reg.counter("fleet_feature_bytes_total", &[])
+            .store(s.feature_bytes);
         let lookups = s.cache_hits + s.cache_misses;
         reg.gauge("fleet_cache_hit_ratio", &[])
             .set(if lookups == 0 {
@@ -1794,6 +1800,46 @@ mod tests {
                 counter("fleet_operand_bytes_total")
             ),
             done
+        );
+    }
+
+    #[test]
+    fn feature_bytes_count_each_seed_zero_fold_once() {
+        let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 2), 2);
+        let folded = |s: &Scheduler| s.stats().feature_bytes;
+        // FP16-T words are 2 bytes; a square GEMM folds n*k of A and k*m
+        // of the stored B, at seed 0 only.
+        let member = |d: u64| (d * d + d * d) * 2;
+        // A cold plain 2-seed request folds its seed-0 operands once.
+        let req = quick(PatternKind::Sparse { sparsity: 0.5 }, 71).with_seeds(2);
+        sched.submit(FleetJob::new(req.clone())).recv().unwrap();
+        assert_eq!(folded(&sched), member(128));
+        // A whole hit folds nothing.
+        assert!(sched.submit(FleetJob::new(req)).recv().unwrap().cache_hit);
+        assert_eq!(folded(&sched), member(128));
+        // A group whose 64 and 96 members are warmed folds only the 128
+        // residue.
+        let base = quick(PatternKind::Gaussian, 72).with_seeds(2);
+        for d in [64, 96] {
+            let single = base.clone().with_shape(GemmDims::square(d as usize));
+            sched.submit(FleetJob::new(single)).recv().unwrap();
+        }
+        let warmed = member(128) + member(64) + member(96);
+        assert_eq!(folded(&sched), warmed);
+        let members = [128, 64, 96].map(GemmDims::square).to_vec();
+        let group = sched
+            .submit(FleetJob::new(base.with_group(members)))
+            .recv()
+            .unwrap();
+        assert_eq!(group.member_cached, vec![true, true, false]);
+        assert_eq!(folded(&sched), warmed + member(128));
+        sched.sync_metrics();
+        assert_eq!(
+            sched
+                .registry()
+                .counter("fleet_feature_bytes_total", &[])
+                .get(),
+            warmed + member(128)
         );
     }
 

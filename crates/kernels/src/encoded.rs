@@ -1,7 +1,11 @@
-//! Pre-encoded matrices: the MAC loop's operand source.
+//! Pre-encoded matrices: the one operand plane every walk reads.
 //!
-//! Encoding a value on every access (e.g. f32 → binary16 bits) would
-//! dominate the inner loop, so [`EncodedMatrix`] precomputes, per element:
+//! Encoding a value (e.g. f32 → binary16 bits) costs more than anything a
+//! walk does with the word, so a member-seed unit encodes each operand
+//! exactly once and shares the [`EncodedMatrix`] plane between the
+//! feature fold (`wm-predict`'s `FeatureAccumulator::add_encoded`), the
+//! bus pass ([`crate::memory::bus_pass`]) and the sampled MAC loop. Per
+//! element the plane holds:
 //!
 //! * the raw dtype encoding (the word the datapath latches), and
 //! * the *significand weight*: `HW` of the multiplier's significand input
@@ -10,7 +14,7 @@
 //!   per-operand factor of the partial-product activity model.
 
 use wm_matrix::Matrix;
-use wm_numerics::{DType, Quantizer};
+use wm_numerics::{f32_to_bf16_bits, f32_to_f16_bits, DType};
 
 /// A matrix's raw encodings plus per-element significand weights.
 #[derive(Debug, Clone)]
@@ -22,29 +26,28 @@ pub struct EncodedMatrix {
     sig_weight: Vec<u8>,
 }
 
-/// Significand Hamming weight of one encoded element.
-fn significand_weight(bits: u32, dtype: DType) -> u8 {
-    match dtype {
-        DType::Int8 => (bits & 0xFF).count_ones() as u8,
-        DType::Fp16 | DType::Fp16Tensor => {
-            let mant = bits & 0x03FF;
-            let exp = (bits >> 10) & 0x1F;
-            let implicit = if exp != 0 { 1u32 << 10 } else { 0 };
-            (mant | implicit).count_ones() as u8
-        }
-        DType::Bf16 => {
-            let mant = bits & 0x007F;
-            let exp = (bits >> 7) & 0xFF;
-            let implicit = if exp != 0 { 1u32 << 7 } else { 0 };
-            (mant | implicit).count_ones() as u8
-        }
-        DType::Fp32 => {
-            let mant = bits & 0x007F_FFFF;
-            let exp = (bits >> 23) & 0xFF;
-            let implicit = if exp != 0 { 1u32 << 23 } else { 0 };
-            (mant | implicit).count_ones() as u8
-        }
-    }
+/// Significand Hamming weight of a float word with `mant_bits` stored
+/// mantissa bits and an `exp_mask` exponent field above them: the
+/// implicit leading 1 joins the mantissa unless the exponent is zero.
+#[inline(always)]
+fn float_sig_weight(bits: u32, mant_bits: u32, exp_mask: u32) -> u8 {
+    let mant = bits & ((1 << mant_bits) - 1);
+    let implicit = u32::from((bits >> mant_bits) & exp_mask != 0) << mant_bits;
+    (mant | implicit).count_ones() as u8
+}
+
+/// The INT8 quantizer's encoding of `v` — round half away from zero,
+/// saturate to `[-128, 127]`, NaN to 0, two's-complement byte — without
+/// a `round` library call per element. Clamping first keeps the value in
+/// `i32` range and its fractional part exact in `f32`; a NaN survives the
+/// clamp, truncates to 0 and compares false.
+#[inline(always)]
+fn int8_word(v: f32) -> u32 {
+    let v = v.clamp(-129.0, 128.0);
+    let t = v as i32;
+    let frac = v - t as f32;
+    let r = t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5);
+    u32::from(r.clamp(-128, 127) as i8 as u8)
 }
 
 impl EncodedMatrix {
@@ -52,17 +55,34 @@ impl EncodedMatrix {
     ///
     /// The matrix is expected to already hold dtype-representable values
     /// (pattern generators quantize); encoding is nevertheless a full
-    /// quantizing encode, so unquantized inputs round here.
+    /// quantizing encode, so unquantized inputs round here. Each word is
+    /// exactly `Quantizer::encode` of its value.
+    // audit:allow(hot-path-alloc): the encoded plane is the product, one per operand
     pub fn encode(m: &Matrix, dtype: DType) -> Self {
-        let q = Quantizer::new(dtype);
         let src = m.as_slice();
-        let mut bits = Vec::with_capacity(src.len());
-        let mut sig_weight = Vec::with_capacity(src.len());
-        for &v in src {
-            let b = q.encode(v) as u32;
-            bits.push(b);
-            sig_weight.push(significand_weight(b, dtype));
-        }
+        let bits: Vec<u32> = match dtype {
+            DType::Fp32 => src.iter().map(|v| v.to_bits()).collect(),
+            DType::Fp16 | DType::Fp16Tensor => {
+                src.iter().map(|&v| u32::from(f32_to_f16_bits(v))).collect()
+            }
+            DType::Bf16 => src
+                .iter()
+                .map(|&v| u32::from(f32_to_bf16_bits(v)))
+                .collect(),
+            DType::Int8 => src.iter().map(|&v| int8_word(v)).collect(),
+        };
+        let sig_weight: Vec<u8> = match dtype {
+            DType::Int8 => bits.iter().map(|b| b.count_ones() as u8).collect(),
+            DType::Fp16 | DType::Fp16Tensor => bits
+                .iter()
+                .map(|&b| float_sig_weight(b, 10, 0x1F))
+                .collect(),
+            DType::Bf16 => bits.iter().map(|&b| float_sig_weight(b, 7, 0xFF)).collect(),
+            DType::Fp32 => bits
+                .iter()
+                .map(|&b| float_sig_weight(b, 23, 0xFF))
+                .collect(),
+        };
         Self {
             rows: m.rows(),
             cols: m.cols(),
@@ -118,6 +138,20 @@ impl EncodedMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wm_numerics::Quantizer;
+
+    /// The significand weight the plane stores for the element whose
+    /// encoding is `bits` (which must round-trip through decode/encode).
+    fn weight_of(bits: u32, dtype: DType) -> u32 {
+        let value = Quantizer::new(dtype).decode(u64::from(bits));
+        let e = EncodedMatrix::encode(&Matrix::from_vec(1, 1, vec![value]), dtype);
+        assert_eq!(
+            e.bits_at(0, 0),
+            bits,
+            "{dtype} word {bits:#x} must round-trip"
+        );
+        e.sig_weight_at(0, 0)
+    }
 
     #[test]
     fn encodings_match_quantizer() {
@@ -140,33 +174,33 @@ mod tests {
     #[test]
     fn significand_weight_fp16_normals() {
         // 1.0 in binary16 = 0x3C00: mantissa 0, implicit 1 -> weight 1.
-        assert_eq!(significand_weight(0x3C00, DType::Fp16), 1);
+        assert_eq!(weight_of(0x3C00, DType::Fp16), 1);
         // 1.5 = 0x3E00: mantissa 0x200, implicit 1 -> weight 2.
-        assert_eq!(significand_weight(0x3E00, DType::Fp16), 2);
+        assert_eq!(weight_of(0x3E00, DType::Fp16), 2);
         // Max mantissa: 0x3FF + implicit -> 11.
-        assert_eq!(significand_weight(0x3FFF & 0x7FFF, DType::Fp16), 11);
+        assert_eq!(weight_of(0x3FFF & 0x7FFF, DType::Fp16), 11);
     }
 
     #[test]
     fn significand_weight_fp16_subnormals_have_no_implicit_bit() {
         // Subnormal 0x0001: mantissa weight 1, no implicit.
-        assert_eq!(significand_weight(0x0001, DType::Fp16), 1);
-        assert_eq!(significand_weight(0x0000, DType::Fp16), 0);
+        assert_eq!(weight_of(0x0001, DType::Fp16), 1);
+        assert_eq!(weight_of(0x0000, DType::Fp16), 0);
     }
 
     #[test]
     fn significand_weight_int8_is_word_weight() {
-        assert_eq!(significand_weight(0xFF, DType::Int8), 8);
-        assert_eq!(significand_weight(0x00, DType::Int8), 0);
-        assert_eq!(significand_weight(0x81, DType::Int8), 2);
+        assert_eq!(weight_of(0xFF, DType::Int8), 8);
+        assert_eq!(weight_of(0x00, DType::Int8), 0);
+        assert_eq!(weight_of(0x81, DType::Int8), 2);
     }
 
     #[test]
     fn significand_weight_fp32() {
         // 1.0f32 = 0x3F800000: mantissa 0 + implicit -> 1.
-        assert_eq!(significand_weight(1.0f32.to_bits(), DType::Fp32), 1);
+        assert_eq!(weight_of(1.0f32.to_bits(), DType::Fp32), 1);
         // 0.0 -> 0.
-        assert_eq!(significand_weight(0, DType::Fp32), 0);
+        assert_eq!(weight_of(0, DType::Fp32), 0);
     }
 
     #[test]

@@ -58,10 +58,31 @@ fn sig_width(dtype: wm_numerics::DType) -> f64 {
 
 /// Run one GEMM, returning numeric outputs and the activity record.
 ///
+/// Encodes both operands, then runs [`simulate_encoded`].
+///
 /// # Panics
 ///
 /// Panics if operand shapes are inconsistent with the configuration.
 pub fn simulate(inputs: &GemmInputs<'_>, config: &GemmConfig) -> GemmOutcome {
+    let ea = EncodedMatrix::encode(inputs.a, config.dtype);
+    let eb = EncodedMatrix::encode(inputs.b_stored, config.dtype);
+    simulate_encoded(inputs, &ea, &eb, config)
+}
+
+/// [`simulate`] over operands already encoded for `config.dtype`: `ea`
+/// is `inputs.a`'s plane and `eb` is `inputs.b_stored`'s. The MAC loop
+/// and the bus pass read the planes; the numeric path reads the values.
+///
+/// # Panics
+///
+/// Panics if operand shapes are inconsistent with the configuration, or
+/// a plane's shape or dtype does not match its operand.
+pub fn simulate_encoded(
+    inputs: &GemmInputs<'_>,
+    ea: &EncodedMatrix,
+    eb: &EncodedMatrix,
+    config: &GemmConfig,
+) -> GemmOutcome {
     let dims = config.dims;
     assert_eq!(
         (inputs.a.rows(), inputs.a.cols()),
@@ -76,10 +97,15 @@ pub fn simulate(inputs: &GemmInputs<'_>, config: &GemmConfig) -> GemmOutcome {
     if let Some(c) = inputs.c {
         assert_eq!((c.rows(), c.cols()), (dims.n, dims.m), "C must be N x M");
     }
+    for (e, m) in [(ea, inputs.a), (eb, inputs.b_stored)] {
+        assert_eq!(
+            (e.rows(), e.cols(), e.dtype()),
+            (m.rows(), m.cols(), config.dtype),
+            "an encoded plane must match its operand and the dtype"
+        );
+    }
 
     let q = Quantizer::new(config.dtype);
-    let ea = EncodedMatrix::encode(inputs.a, config.dtype);
-    let eb = EncodedMatrix::encode(inputs.b_stored, config.dtype);
     let word_bits = f64::from(config.dtype.bits());
     let sig_norm = sig_width(config.dtype);
 
@@ -172,7 +198,7 @@ pub fn simulate(inputs: &GemmInputs<'_>, config: &GemmConfig) -> GemmOutcome {
     }
 
     let macs = sampled_macs.max(1) as f64;
-    let bus = operand_bus_pass(&ea, &eb);
+    let bus = operand_bus_pass(ea, eb);
     let activity = ActivityRecord {
         kernel: crate::activity::KernelClass::Gemm,
         dtype: config.dtype,

@@ -62,6 +62,9 @@ pub struct GemvOutcome {
 
 /// Simulate `y = alpha * A x + beta * y0`.
 ///
+/// Encodes A and x (as a `k x 1` plane), then runs
+/// [`simulate_gemv_encoded`].
+///
 /// # Panics
 ///
 /// Panics if `x.len() != a.cols()` or a provided `y0` has the wrong length.
@@ -72,14 +75,49 @@ pub fn simulate_gemv(
     config: &GemvConfig,
 ) -> GemvOutcome {
     assert_eq!(x.len(), a.cols(), "x must have K entries");
+    let ea = EncodedMatrix::encode(a, config.dtype);
+    let ex = EncodedMatrix::encode(&Matrix::from_vec(x.len(), 1, x.to_vec()), config.dtype);
+    simulate_gemv_encoded(a, &ea, &ex, y0, config)
+}
+
+/// [`simulate_gemv`] over operands already encoded for `config.dtype`:
+/// `ea` is `a`'s plane and `ex` the input vector's `k x 1` plane. The
+/// vector enters the datapath quantized, so its values are decoded from
+/// `ex` (exactly the quantized inputs); A's values come from `a`.
+///
+/// # Panics
+///
+/// Panics if `ex` is not `a.cols() x 1`, `ea` does not match `a`, a
+/// plane's dtype differs from the configuration's, or a provided `y0`
+/// has the wrong length.
+pub fn simulate_gemv_encoded(
+    a: &Matrix,
+    ea: &EncodedMatrix,
+    ex: &EncodedMatrix,
+    y0: Option<&[f32]>,
+    config: &GemvConfig,
+) -> GemvOutcome {
+    let dtype = config.dtype;
+    assert_eq!(
+        (ex.rows(), ex.cols()),
+        (a.cols(), 1),
+        "x must have K entries"
+    );
+    assert_eq!(
+        (ea.rows(), ea.cols()),
+        (a.rows(), a.cols()),
+        "the A plane must match A"
+    );
+    assert!(
+        ea.dtype() == dtype && ex.dtype() == dtype,
+        "planes must be encoded for the configured dtype"
+    );
     if let Some(y0) = y0 {
         assert_eq!(y0.len(), a.rows(), "y0 must have N entries");
     }
-    let dtype = config.dtype;
     let q = Quantizer::new(dtype);
-    let ea = EncodedMatrix::encode(a, dtype);
-    let x_matrix = Matrix::from_vec(x.len(), 1, x.iter().map(|&v| q.quantize(v)).collect());
-    let ex = EncodedMatrix::encode(&x_matrix, dtype);
+    let x_words = ex.words();
+    let x_vals: Vec<f32> = x_words.iter().map(|&w| q.decode(u64::from(w))).collect();
     let word_bits = f64::from(dtype.bits());
     let sig_norm =
         f64::from(dtype.mantissa_bits() + if dtype.is_float() { 1 } else { dtype.bits() });
@@ -100,29 +138,26 @@ pub fn simulate_gemv(
         let a_row = a.row(i);
         let mut acc = q.new_accumulator();
         let mut prev_acc = acc.bits() as u32;
-        let mut prev_a: Option<u32> = None;
-        let mut prev_x: Option<u32> = None;
-        for (k, &a_val) in a_row.iter().enumerate() {
+        // Latches start holding the first operand pair (matrices are
+        // never empty): step 0 charges no toggle.
+        let mut prev_a = ea.bits_at(i, 0);
+        let mut prev_x = x_words[0];
+        for (k, (&a_val, (&x_bits, &x_val))) in
+            a_row.iter().zip(x_words.iter().zip(&x_vals)).enumerate()
+        {
             let a_bits = ea.bits_at(i, k);
-            let x_bits = ex.bits_at(k, 0);
-            if let Some(p) = prev_a {
-                op_a += u64::from((p ^ a_bits).count_ones());
-            }
-            if let Some(p) = prev_x {
-                op_x += u64::from((p ^ x_bits).count_ones());
-            }
-            prev_a = Some(a_bits);
-            prev_x = Some(x_bits);
+            op_a += u64::from((prev_a ^ a_bits).count_ones());
+            op_x += u64::from((prev_x ^ x_bits).count_ones());
+            prev_a = a_bits;
+            prev_x = x_bits;
             align_distance += u64::from((a_bits ^ x_bits).count_ones());
             hw_a += u64::from(a_bits.count_ones());
             hw_x += u64::from(x_bits.count_ones());
-            let x_val = x_matrix.get(k, 0);
-            if a_val != 0.0 && x_val != 0.0 {
-                nonzero += 1;
-                mult_activity += f64::from(ea.sig_weight_at(i, k))
-                    * f64::from(ex.sig_weight_at(k, 0))
-                    / sig_norm;
-            }
+            let live = a_val != 0.0 && x_val != 0.0;
+            nonzero += u64::from(live);
+            let pp =
+                f64::from(ea.sig_weight_at(i, k)) * f64::from(ex.sig_weight_at(k, 0)) / sig_norm;
+            mult_activity += if live { pp } else { 0.0 };
             acc.add_product(q.product(a_val, x_val));
             let bits = acc.bits() as u32;
             acc_tog += u64::from((prev_acc ^ bits).count_ones());
@@ -139,8 +174,8 @@ pub fn simulate_gemv(
     let macs = sampled_macs.max(1) as f64;
     // Memory side: A streams once (no reuse — the defining GEMV property);
     // x is negligible but included for completeness.
-    let bus_a = bus_pass(&ea);
-    let bus_x = bus_pass(&ex);
+    let bus_a = bus_pass(ea);
+    let bus_x = bus_pass(ex);
     let activity = ActivityRecord {
         kernel: KernelClass::Gemv,
         dtype,

@@ -28,10 +28,12 @@
 //! * [`config`] — [`GemmConfig`]: dims, dtype, scalars, the paper's
 //!   B-transposition switch, tile shape, sampling lattice.
 //! * [`encoded`] — [`EncodedMatrix`]: pre-computed raw encodings and
-//!   significand weights so the MAC loop is branch- and conversion-free.
+//!   significand weights, encoded once per operand and shared by the
+//!   feature fold, the bus pass and the conversion-free MAC loop.
 //! * [`activity`] — [`ActivityRecord`]: the normalized activity summary
 //!   consumed by `wm-power`.
-//! * [`engine`] — the sampled execution engine ([`engine::simulate`]).
+//! * [`engine`] — the sampled execution engine ([`engine::simulate`], or
+//!   [`engine::simulate_encoded`] over pre-encoded operands).
 //! * [`memory`] — the DRAM/L2 bus pass.
 //! * [`mod@reference`] — a naive, obviously-correct GEMM used to verify
 //!   the engine's numerics in tests.
@@ -50,6 +52,6 @@ pub mod reference;
 pub use activity::{ActivityRecord, KernelClass};
 pub use config::{GemmConfig, Sampling};
 pub use encoded::EncodedMatrix;
-pub use engine::{simulate, GemmInputs, GemmOutcome, SampledOutput};
-pub use gemv::{reference_gemv, simulate_gemv, GemvConfig, GemvOutcome};
+pub use engine::{simulate, simulate_encoded, GemmInputs, GemmOutcome, SampledOutput};
+pub use gemv::{reference_gemv, simulate_gemv, simulate_gemv_encoded, GemvConfig, GemvOutcome};
 pub use reference::reference_gemm;

@@ -13,6 +13,7 @@
 //! tiny per-step distances, while random data toggles half the bus.
 
 use crate::encoded::EncodedMatrix;
+use wm_bits::{lagged_toggles, slice_hamming_weight};
 use wm_gpu::{GemmDims, TileShape};
 
 /// Width of one memory transaction in bits (a 64-byte sector).
@@ -34,20 +35,12 @@ pub struct BusPass {
 pub fn bus_pass(m: &EncodedMatrix) -> BusPass {
     let lanes = (BUS_BITS / m.dtype().bits()).max(1) as usize;
     let words = m.words();
-    let mut toggles = 0u64;
-    let mut weight = 0u64;
-    // Per-lane previous value; lane l sees words[l], words[l+lanes], ...
-    // Iterating in storage order with an index modulo `lanes` avoids a
-    // second pass per lane.
-    let mut prev = vec![None::<u32>; lanes];
-    for (i, &w) in words.iter().enumerate() {
-        let lane = i % lanes;
-        if let Some(p) = prev[lane] {
-            toggles += u64::from((p ^ w).count_ones());
-        }
-        prev[lane] = Some(w);
-        weight += u64::from(w.count_ones());
-    }
+    // Lane l sees words[l], words[l + lanes], ...: consecutive words on a
+    // lane sit exactly `lanes` apart in storage order, so the lane
+    // toggles are the plane's toggles at lag `lanes`, with no per-lane
+    // state.
+    let toggles = lagged_toggles(words, lanes);
+    let weight = slice_hamming_weight(words);
     BusPass {
         toggles,
         words: words.len() as u64,

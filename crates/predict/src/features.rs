@@ -10,6 +10,16 @@
 //! activity model, via `wm-bits`), sparsity, dynamic range, and
 //! dtype/shape descriptors.
 //!
+//! ## The fold runs on encoded words
+//!
+//! Every statistic is a function of the dtype words the datapath
+//! latches, so the fold ([`FeatureAccumulator::add_encoded`]) walks an
+//! [`EncodedMatrix`] plane — the same plane the kernel simulator's bus
+//! pass and MAC loop read — rather than encoding each value again. The
+//! fleet's unit store encodes each operand once and hands that plane to
+//! both. [`FeatureAccumulator::add_value`] is the per-value definition
+//! the plane fold is tested against.
+//!
 //! ## Determinism across worker counts
 //!
 //! Extraction is built on a mergeable [`FeatureAccumulator`] whose state
@@ -19,10 +29,12 @@
 //! stream order is **bit-identical** to a single sequential pass. The
 //! property tests in `tests/properties.rs` pin this down.
 
-use wm_bits::{hamming_distance, hamming_weight, ByteHistogram};
+use wm_bits::{
+    hamming_distance, hamming_weight, slice_hamming_weight, stream_toggles, ByteHistogram,
+};
 use wm_core::RunRequest;
 use wm_gpu::GemmDims;
-use wm_kernels::KernelClass;
+use wm_kernels::{EncodedMatrix, KernelClass};
 use wm_matrix::Matrix;
 use wm_numerics::{DType, Quantizer};
 
@@ -108,6 +120,66 @@ pub struct FeatureAccumulator {
     min_nonzero_abs: f32,
 }
 
+/// The largest magnitude and the smallest nonzero magnitude among a
+/// plane's non-NaN words. `inf` is the magnitude of infinity: anything
+/// above it is a NaN. A smallest magnitude of `inf` is reported as
+/// `None`: an infinite minimum leaves the running minimum unchanged.
+#[inline(always)]
+fn magnitude_extrema<M: Copy + Ord + Into<u32> + From<u8>>(
+    words: &[u32],
+    magnitude: impl Fn(u32) -> M,
+    inf: M,
+) -> (u32, Option<u32>) {
+    let zero = M::from(0);
+    let (mut hi, mut lo) = (zero, inf);
+    for &w in words {
+        let mag = magnitude(w);
+        let ordered = mag <= inf;
+        hi = hi.max(if ordered { mag } else { zero });
+        lo = lo.min(if ordered && mag != zero { mag } else { inf });
+    }
+    (hi.into(), (lo != inf).then(|| lo.into()))
+}
+
+/// Byte counts of a plane (the low `width` bytes of each word,
+/// little-endian). Stream byte `b` counts into local table `b % 4`, so a
+/// run of equal bytes spreads over four counters instead of chaining
+/// read-modify-writes on one; the tables are summed once at the end.
+fn byte_counts(words: &[u32], width: usize) -> [u64; 256] {
+    let mut tables = [[0u64; 256]; 4];
+    match width {
+        1 => count_bytes::<1>(words, &mut tables),
+        2 => count_bytes::<2>(words, &mut tables),
+        _ => count_bytes::<4>(words, &mut tables),
+    }
+    let mut counts = [0u64; 256];
+    for table in &tables {
+        for (c, n) in counts.iter_mut().zip(table) {
+            *c += n;
+        }
+    }
+    counts
+}
+
+/// Count the `W` low bytes of each word: one round of the four tables
+/// takes `4 / W` words.
+fn count_bytes<const W: usize>(words: &[u32], tables: &mut [[u64; 256]; 4]) {
+    let mut count = |j: usize, w: u32| {
+        for i in 0..W {
+            tables[j * W + i][usize::from((w >> (8 * i)) as u8)] += 1;
+        }
+    };
+    let mut rounds = words.chunks_exact(4 / W);
+    for round in &mut rounds {
+        for (j, &w) in round.iter().enumerate() {
+            count(j, w);
+        }
+    }
+    for (j, &w) in rounds.remainder().iter().enumerate() {
+        count(j, w);
+    }
+}
+
 /// Hash-bucket an encoded word into the value histogram (splitmix64
 /// finalizer: cheap, well-mixed, deterministic).
 #[inline]
@@ -148,6 +220,10 @@ impl FeatureAccumulator {
 
     /// Accumulate one logical value (quantized and encoded per the dtype,
     /// exactly as the datapath would latch it).
+    ///
+    /// This is the per-value definition of the fold: accumulating a
+    /// stream value by value equals [`FeatureAccumulator::add_encoded`]
+    /// over its encoded planes, which the property tests check.
     #[inline]
     pub fn add_value(&mut self, value: f32) {
         let q = Quantizer::new(self.dtype);
@@ -174,10 +250,81 @@ impl FeatureAccumulator {
         self.words += 1;
     }
 
-    /// Accumulate a whole matrix in row-major stream order.
+    /// Accumulate a whole matrix in row-major stream order (encodes it,
+    /// then [`FeatureAccumulator::add_encoded`]).
     pub fn add_matrix(&mut self, m: &Matrix) {
-        for &v in m.as_slice() {
-            self.add_value(v);
+        self.add_encoded(&EncodedMatrix::encode(m, self.dtype));
+    }
+
+    /// Accumulate an encoded operand plane in row-major stream order —
+    /// the same words [`FeatureAccumulator::add_value`] would encode, with
+    /// no per-value encode or quantize. Counts are branch-free passes
+    /// over the plane; extrema are tracked as magnitude bits and decoded
+    /// once per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plane was encoded for another dtype.
+    pub fn add_encoded(&mut self, m: &EncodedMatrix) {
+        assert_eq!(
+            m.dtype(),
+            self.dtype,
+            "cannot fold a plane of another dtype"
+        );
+        let words = m.words();
+        let (Some(&first), Some(&last)) = (words.first(), words.last()) else {
+            return;
+        };
+        let (first, last) = (u64::from(first), u64::from(last));
+        match self.last_word {
+            Some(prev) => self.toggle_total += u64::from(hamming_distance(prev, first)),
+            None => self.first_word = Some(first),
+        }
+        self.last_word = Some(last);
+        self.toggle_total += stream_toggles(words);
+        self.hamming_total += slice_hamming_weight(words);
+        self.zero_words += words.iter().map(|&w| u64::from(w == 0)).sum::<u64>();
+        self.byte_hist
+            .add_counts(&byte_counts(words, self.dtype.bytes()));
+        for &w in words {
+            self.value_hist[value_bin(u64::from(w))] += 1;
+        }
+        self.fold_extrema(words);
+        self.words += words.len() as u64;
+    }
+
+    /// Fold a plane's extrema into `max_abs` / `min_nonzero_abs`. The
+    /// walk compares magnitude bits (sign masked; `|i8|` for INT8), whose
+    /// integer order is the order of the absolute values, skipping NaN
+    /// words exactly as the per-value comparisons do; the two winners
+    /// are decoded once. 16-bit and INT8 magnitudes fit `u16`, whose
+    /// min/max vectorize on every x86-64 target.
+    fn fold_extrema(&mut self, words: &[u32]) {
+        let (max_mag, min_mag) = match self.dtype {
+            DType::Fp32 => magnitude_extrema(words, |w| w & 0x7FFF_FFFF, 0x7F80_0000),
+            DType::Fp16 | DType::Fp16Tensor => {
+                magnitude_extrema(words, |w| (w & 0x7FFF) as u16, 0x7C00)
+            }
+            DType::Bf16 => magnitude_extrema(words, |w| (w & 0x7FFF) as u16, 0x7F80),
+            // INT8 has no NaN: the sentinel is above every |i8|.
+            DType::Int8 => magnitude_extrema(
+                words,
+                |w| u16::from((w as u8 as i8).unsigned_abs()),
+                u16::MAX,
+            ),
+        };
+        let decode = |mag: u32| match self.dtype {
+            DType::Int8 => mag as f32,
+            dtype => Quantizer::new(dtype).decode(u64::from(mag)),
+        };
+        let max_abs = decode(max_mag);
+        if max_abs > self.max_abs {
+            self.max_abs = max_abs;
+        }
+        if let Some(min_abs) = min_mag.map(decode) {
+            if min_abs < self.min_nonzero_abs {
+                self.min_nonzero_abs = min_abs;
+            }
         }
     }
 

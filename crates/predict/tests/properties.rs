@@ -1,12 +1,14 @@
 //! Property tests for the prediction subsystem's determinism contracts:
 //! feature extraction is bit-identical however many workers share the
-//! pass, and online fitting is order-insensitive for duplicated
-//! observations.
+//! pass, the fold over encoded planes equals the per-value fold, and
+//! online fitting is order-insensitive for duplicated observations.
 
 use proptest::prelude::*;
 use wm_bits::Xoshiro256pp;
 use wm_core::RunRequest;
 use wm_gpu::GemmDims;
+use wm_kernels::EncodedMatrix;
+use wm_matrix::Matrix;
 use wm_numerics::DType;
 use wm_patterns::{PatternKind, PatternSpec};
 use wm_predict::{
@@ -140,6 +142,63 @@ proptest! {
         let b = req.pattern_b.generate(req.dtype, b_rows, b_cols, &mut root.fork(1));
         let via_matrices = extract_features(req.dtype, req.kernel, dims, &a, &b);
         prop_assert_eq!(bits_of(&via_matrices), bits_of(&features_for_request(&req)));
+    }
+}
+
+/// Patterns whose words include NaN, ±inf, subnormals and ±0 (random
+/// MSBs and half-probability bit flips reach the exponent field; sparse
+/// fills are mostly zero words), plus a dense baseline.
+fn arb_word_kind() -> impl Strategy<Value = PatternKind> {
+    prop_oneof![
+        (1u32..=8).prop_map(|count| PatternKind::RandomMsbs { count }),
+        Just(PatternKind::BitFlips { probability: 0.5 }),
+        (0.0f64..=1.0).prop_map(|s| PatternKind::Sparse { sparsity: s }),
+        Just(PatternKind::Gaussian),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn encoded_fold_equals_the_per_value_fold(
+        dtype in prop::sample::select(DType::EXTENDED.to_vec()),
+        kind in arb_word_kind(),
+        seed in any::<u64>(),
+        raw_bits in any::<bool>(),
+        cuts in prop::collection::vec(0.0f64..1.0, 0..6),
+    ) {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut stream = PatternSpec::new(kind)
+            .generate(dtype, 24, 40, &mut rng)
+            .as_slice()
+            .to_vec();
+        if raw_bits {
+            // Unquantized values from arbitrary f32 bit patterns: the
+            // plane's encode must round them exactly as add_value does.
+            for v in stream.iter_mut().step_by(3) {
+                *v = f32::from_bits(rng.next_u64() as u32);
+            }
+        }
+        let mut reference = FeatureAccumulator::new(dtype);
+        for &v in &stream {
+            reference.add_value(v);
+        }
+        let mut bounds: Vec<usize> = cuts
+            .iter()
+            .map(|c| (c * stream.len() as f64) as usize)
+            .chain([0, stream.len()])
+            .collect();
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut merged = FeatureAccumulator::new(dtype);
+        for w in bounds.windows(2) {
+            let chunk = Matrix::from_vec(1, w[1] - w[0], stream[w[0]..w[1]].to_vec());
+            let mut part = FeatureAccumulator::new(dtype);
+            part.add_encoded(&EncodedMatrix::encode(&chunk, dtype));
+            merged.merge(&part);
+        }
+        prop_assert_eq!(&merged, &reference, "{:?} {} cuts {:?}", kind, dtype, bounds);
     }
 }
 

@@ -238,6 +238,7 @@ struct PointOutcome {
     member_residues: u64,
     operand_bytes: u64,
     activity_sims: u64,
+    feature_bytes: u64,
     peak_committed_w: f64,
     trace_jsonl: Vec<String>,
 }
@@ -319,6 +320,7 @@ fn run_point(cfg: &BenchConfig, target_hit_ratio: f64, point_idx: u64) -> PointO
     let member_residues = reg.counter("fleet_member_residue_jobs_total", &[]).get();
     let operand_bytes = reg.counter("fleet_operand_bytes_total", &[]).get();
     let activity_sims = reg.counter("fleet_activity_sims_total", &[]).get();
+    let feature_bytes = reg.counter("fleet_feature_bytes_total", &[]).get();
     let joules = gauge_family_sum(&sched, "device_energy_j");
     let peak_committed_w = reg.gauge("fleet_peak_committed_w", &[]).get();
     let latency = latency_sketch(&sched);
@@ -356,6 +358,7 @@ fn run_point(cfg: &BenchConfig, target_hit_ratio: f64, point_idx: u64) -> PointO
         ("member_residue_jobs", Json::Num(member_residues as f64)),
         ("operand_bytes", Json::Num(operand_bytes as f64)),
         ("activity_sims", Json::Num(activity_sims as f64)),
+        ("feature_bytes", Json::Num(feature_bytes as f64)),
         ("peak_committed_w", Json::Num(peak_committed_w)),
         ("trace_spans", Json::Num(trace_jsonl.len() as f64)),
     ]);
@@ -371,6 +374,7 @@ fn run_point(cfg: &BenchConfig, target_hit_ratio: f64, point_idx: u64) -> PointO
         member_residues,
         operand_bytes,
         activity_sims,
+        feature_bytes,
         peak_committed_w,
         trace_jsonl,
     }
@@ -396,7 +400,7 @@ pub fn run(cfg: &BenchConfig) -> BenchRun {
     let mut merged = LogHistogram::new();
     let (mut requests, mut hits, mut lookups) = (0u64, 0u64, 0u64);
     let (mut member_hits, mut member_residues) = (0u64, 0u64);
-    let (mut operand_bytes, mut activity_sims) = (0u64, 0u64);
+    let (mut operand_bytes, mut activity_sims, mut feature_bytes) = (0u64, 0u64, 0u64);
     let (mut wall_s, mut joules, mut peak_w) = (0.0f64, 0.0f64, 0.0f64);
     let mut trace_jsonl = Vec::new();
     for (i, &ratio) in cfg.hit_ratios.iter().enumerate() {
@@ -409,6 +413,7 @@ pub fn run(cfg: &BenchConfig) -> BenchRun {
         member_residues += p.member_residues;
         operand_bytes += p.operand_bytes;
         activity_sims += p.activity_sims;
+        feature_bytes += p.feature_bytes;
         wall_s += p.wall_s;
         joules += p.joules;
         peak_w = peak_w.max(p.peak_committed_w);
@@ -444,6 +449,7 @@ pub fn run(cfg: &BenchConfig) -> BenchRun {
         ("member_residue_jobs", Json::Num(member_residues as f64)),
         ("operand_bytes", Json::Num(operand_bytes as f64)),
         ("activity_sims", Json::Num(activity_sims as f64)),
+        ("feature_bytes", Json::Num(feature_bytes as f64)),
         ("peak_committed_w", Json::Num(peak_w)),
         ("sweep", Json::Arr(points)),
     ]);
@@ -542,6 +548,7 @@ mod tests {
         // Fresh work is counted in machine-independent units.
         assert!(num("activity_sims") > 0.0, "{}", run.artifact);
         assert!(num("operand_bytes") > 0.0, "{}", run.artifact);
+        assert!(num("feature_bytes") > 0.0, "{}", run.artifact);
         assert!(!run.trace_jsonl.is_empty(), "spans were recorded");
         for line in &run.trace_jsonl {
             assert!(wm_fleet::json::Json::parse(line).is_ok(), "{line}");
