@@ -1,4 +1,5 @@
-//! Micro-benchmarks of the simulation hot paths: the sampled activity
+//! Micro-benchmarks of the simulation hot paths: operand generation for
+//! each input family of the serving benchmark's mix, the sampled activity
 //! walk at several lattice densities, operand encoding, the feature fold
 //! over encoded planes, the memory bus pass, the power-model evaluation,
 //! and one whole member-seed unit as the fleet's unit store computes it.
@@ -32,6 +33,22 @@ fn bench(c: &mut Criterion) {
     };
 
     let mut g = wm_bench::configure(c, "engine");
+    // One 128x128 FP16-T operand per family: the generator's share of a
+    // cold request, family by family.
+    for (name, kind) in [
+        ("gaussian", PatternKind::Gaussian),
+        ("value_set", PatternKind::ValueSet { set_size: 32 }),
+        ("bit_flips", PatternKind::BitFlips { probability: 0.2 }),
+        ("zero_lsbs", PatternKind::ZeroLsbs { count: 3 }),
+        ("sorted_rows", PatternKind::SortedRows { fraction: 0.5 }),
+        ("sparse", PatternKind::Sparse { sparsity: 0.5 }),
+    ] {
+        let family = PatternSpec::new(kind);
+        let mut stream = Xoshiro256pp::seed_from_u64(2);
+        g.bench_function(format!("generate_128_fp16t_{name}"), |bch| {
+            bch.iter(|| black_box(family.generate(dtype, 128, 128, &mut stream)))
+        });
+    }
     for lattice in [8usize, 16, 32] {
         g.bench_function(format!("simulate_{dim}_lattice_{lattice}"), |bch| {
             let cfg = GemmConfig::square(dim, dtype).with_sampling(Sampling::Lattice {

@@ -43,6 +43,6 @@ pub use hamming::{
 };
 pub use rng::Xoshiro256pp;
 pub use surgery::{
-    flip_random_bits, randomize_lsbs, randomize_msbs, zero_lsbs, zero_msbs, BitSurgeon,
+    randomize_lsbs, randomize_msbs, zero_lsbs, zero_msbs, BernoulliMask, BitSurgeon,
 };
 pub use toggle::{BusToggleTracker, ToggleCounter};

@@ -134,15 +134,17 @@ impl Xoshiro256pp {
         }
     }
 
-    /// Choose `k` distinct indices from `0..n` (partial Fisher–Yates over an
-    /// index array; O(n) memory, O(n) time — used for sparsity masks).
+    /// Choose `k` distinct indices from `0..n` (partial Fisher–Yates over a
+    /// `u32` index array; O(n) memory, O(n) time — used for sparsity masks).
+    /// Step `i` swaps slot `i` with `i + next_bounded(n - i)`.
     ///
     /// # Panics
     ///
-    /// Panics if `k > n`.
-    pub fn choose_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+    /// Panics if `k > n` or if `n` exceeds `u32::MAX`.
+    pub fn choose_indices(&mut self, n: usize, k: usize) -> Vec<u32> {
         assert!(k <= n, "cannot choose {k} indices from {n}");
-        let mut idx: Vec<usize> = (0..n).collect();
+        let n32 = u32::try_from(n).expect("too many indices for u32");
+        let mut idx: Vec<u32> = (0..n32).collect();
         for i in 0..k {
             let j = i + self.next_bounded(n - i);
             idx.swap(i, j);

@@ -77,42 +77,58 @@ pub fn randomize_msbs(x: u64, k: u32, width: u32, rng: &mut Xoshiro256pp) -> u64
     (x & !mask) | (rng.next_u64() & mask)
 }
 
-/// Flip each of the low `width` bits of `x` independently with probability
-/// `p` (Fig. 4a: "random bit flips").
+/// A plan for 64-bit masks in which each bit is set independently with
+/// probability `p`, to within 2⁻¹⁶ — the XOR mask of the paper's random
+/// bit flips (Fig. 4a), computed once per probability and sampled per word.
 ///
-/// Implemented by XOR with a Bernoulli mask from [`bernoulli_mask`], so the
-/// cost is ~16 RNG draws per word regardless of `width`.
-#[inline]
-pub fn flip_random_bits(x: u64, p: f64, width: u32, rng: &mut Xoshiro256pp) -> u64 {
-    x ^ (bernoulli_mask(p, rng) & lsb_mask(width, width))
+/// Uses the classic dyadic-composition trick: `p` rounds to 16 fraction
+/// bits `frac = 0.b₁…b₁₆`, and folding random words from the least
+/// significant fraction bit upward — a set bit ORs the draw in
+/// (`prob' = ½ + ½·prob`), a clear bit ANDs it (`prob' = ½·prob`) — yields
+/// exactly that per-bit probability. A mask whose `frac` is 0 or reaches
+/// 65536 is constant and draws nothing; any other takes exactly 16 draws,
+/// whatever the word's width. The plan stores each step's choice as an
+/// all-ones or all-zeros word, so the fold is branch-free.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BernoulliMask {
+    /// `Some(mask)` when the mask is constant and needs no draws.
+    constant: Option<u64>,
+    /// Per fold step: all ones where the fraction bit is set.
+    or_steps: [u64; 16],
 }
 
-/// A 64-bit mask in which each bit is set independently with probability
-/// `p`, to within 2⁻¹⁶ of the requested probability.
-///
-/// Uses the classic dyadic-composition trick: writing `p ≈ 0.b₁b₂…b₁₆` in
-/// binary and folding random words with AND/OR from the least significant
-/// fraction bit upward yields exact per-bit probability `0.b₁…b₁₆`.
-pub fn bernoulli_mask(p: f64, rng: &mut Xoshiro256pp) -> u64 {
-    let p = p.clamp(0.0, 1.0);
-    // 16 fraction bits of p, rounded to nearest.
-    let frac = (p * 65536.0).round() as u32;
-    if frac == 0 {
-        return 0;
+impl BernoulliMask {
+    /// Plan masks with per-bit probability `p` (clamped to `[0, 1]`).
+    pub fn new(p: f64) -> Self {
+        let p = p.clamp(0.0, 1.0);
+        // 16 fraction bits of p, rounded to nearest.
+        let frac = (p * 65536.0).round() as u32;
+        let constant = match frac {
+            0 => Some(0),
+            f if f >= 65536 => Some(u64::MAX),
+            _ => None,
+        };
+        let mut or_steps = [0u64; 16];
+        for (i, step) in or_steps.iter_mut().enumerate() {
+            *step = 0u64.wrapping_sub(u64::from((frac >> i) & 1));
+        }
+        Self { constant, or_steps }
     }
-    if frac >= 65536 {
-        return u64::MAX;
+
+    /// Draw one mask: no draws for a constant mask, exactly 16 otherwise.
+    #[inline]
+    pub fn sample(&self, rng: &mut Xoshiro256pp) -> u64 {
+        if let Some(mask) = self.constant {
+            return mask;
+        }
+        let mut mask = 0u64;
+        for &or in &self.or_steps {
+            let r = rng.next_u64();
+            // or = !0: r | mask; or = 0: r & mask.
+            mask = (r & mask) | (or & (r | mask));
+        }
+        mask
     }
-    let mut mask = 0u64;
-    // Fold from the LSB of the fraction to the MSB:
-    //   bit set   -> mask = rand | mask   (prob' = 0.5 + 0.5 * prob)
-    //   bit clear -> mask = rand & mask   (prob' = 0.5 * prob)
-    for i in 0..16 {
-        let bit = (frac >> i) & 1;
-        let r = rng.next_u64();
-        mask = if bit == 1 { r | mask } else { r & mask };
-    }
-    mask
 }
 
 /// Width-aware convenience wrapper bundling all surgery operations for one
@@ -162,12 +178,6 @@ impl BitSurgeon {
     #[inline]
     pub fn randomize_msbs(&self, x: u64, k: u32, rng: &mut Xoshiro256pp) -> u64 {
         randomize_msbs(x, k, self.width, rng)
-    }
-
-    /// See [`flip_random_bits`].
-    #[inline]
-    pub fn flip_random_bits(&self, x: u64, p: f64, rng: &mut Xoshiro256pp) -> u64 {
-        flip_random_bits(x, p, self.width, rng)
     }
 }
 
@@ -238,20 +248,12 @@ mod tests {
     }
 
     #[test]
-    fn flip_probability_extremes() {
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
-        let x = 0x1234u64;
-        assert_eq!(flip_random_bits(x, 0.0, 16, &mut rng), x);
-        assert_eq!(flip_random_bits(x, 1.0, 16, &mut rng), x ^ 0xFFFF);
-    }
-
-    #[test]
     fn bernoulli_mask_density_tracks_p() {
         let mut rng = Xoshiro256pp::seed_from_u64(4);
         for &p in &[0.1, 0.25, 0.5, 0.9] {
             let trials = 2000;
             let ones: u64 = (0..trials)
-                .map(|_| bernoulli_mask(p, &mut rng).count_ones() as u64)
+                .map(|_| BernoulliMask::new(p).sample(&mut rng).count_ones() as u64)
                 .sum();
             let density = ones as f64 / (trials as f64 * 64.0);
             assert!(
@@ -273,6 +275,55 @@ mod tests {
             s.randomize_lsbs(x, 5, &mut r1),
             randomize_lsbs(x, 5, 16, &mut r2)
         );
+    }
+
+    #[test]
+    fn bernoulli_plan_matches_the_per_call_fold() {
+        // The branchy per-call fold the plan replaced.
+        fn fold(p: f64, rng: &mut Xoshiro256pp) -> u64 {
+            let frac = (p.clamp(0.0, 1.0) * 65536.0).round() as u32;
+            if frac == 0 {
+                return 0;
+            }
+            if frac >= 65536 {
+                return u64::MAX;
+            }
+            let mut mask = 0u64;
+            for i in 0..16 {
+                let r = rng.next_u64();
+                mask = if (frac >> i) & 1 == 1 {
+                    r | mask
+                } else {
+                    r & mask
+                };
+            }
+            mask
+        }
+        for &p in &[
+            0.0,
+            1e-6,
+            1.0 / 65536.0,
+            0.01,
+            0.25,
+            0.5,
+            0.7,
+            1.0 - 1e-6,
+            1.0,
+        ] {
+            let plan = BernoulliMask::new(p);
+            let mut r1 = Xoshiro256pp::seed_from_u64(p.to_bits());
+            let mut r2 = r1;
+            for _ in 0..64 {
+                assert_eq!(plan.sample(&mut r1), fold(p, &mut r2), "p={p}");
+            }
+            assert_eq!(r1, r2, "RNG end state at p={p}");
+        }
+        // Probabilities that round to 0 or 1 draw nothing.
+        let mut rng = Xoshiro256pp::seed_from_u64(6);
+        let before = rng;
+        assert_eq!(BernoulliMask::new(1e-6).sample(&mut rng), 0);
+        assert_eq!(BernoulliMask::new(1.0).sample(&mut rng), u64::MAX);
+        assert_eq!(rng, before);
     }
 
     #[test]

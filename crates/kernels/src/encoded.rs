@@ -14,7 +14,7 @@
 //!   per-operand factor of the partial-product activity model.
 
 use wm_matrix::Matrix;
-use wm_numerics::{f32_to_bf16_bits, f32_to_f16_bits, DType};
+use wm_numerics::{f32_to_bf16_bits, f32_to_f16_bits, f32_to_i8, DType};
 
 /// A matrix's raw encodings plus per-element significand weights.
 #[derive(Debug, Clone)]
@@ -36,20 +36,6 @@ fn float_sig_weight(bits: u32, mant_bits: u32, exp_mask: u32) -> u8 {
     (mant | implicit).count_ones() as u8
 }
 
-/// The INT8 quantizer's encoding of `v` — round half away from zero,
-/// saturate to `[-128, 127]`, NaN to 0, two's-complement byte — without
-/// a `round` library call per element. Clamping first keeps the value in
-/// `i32` range and its fractional part exact in `f32`; a NaN survives the
-/// clamp, truncates to 0 and compares false.
-#[inline(always)]
-fn int8_word(v: f32) -> u32 {
-    let v = v.clamp(-129.0, 128.0);
-    let t = v as i32;
-    let frac = v - t as f32;
-    let r = t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5);
-    u32::from(r.clamp(-128, 127) as i8 as u8)
-}
-
 impl EncodedMatrix {
     /// Encode every element of `m` for `dtype`.
     ///
@@ -69,7 +55,7 @@ impl EncodedMatrix {
                 .iter()
                 .map(|&v| u32::from(f32_to_bf16_bits(v)))
                 .collect(),
-            DType::Int8 => src.iter().map(|&v| int8_word(v)).collect(),
+            DType::Int8 => src.iter().map(|&v| u32::from(f32_to_i8(v) as u8)).collect(),
         };
         let sig_weight: Vec<u8> = match dtype {
             DType::Int8 => bits.iter().map(|b| b.count_ones() as u8).collect(),

@@ -18,6 +18,24 @@ use crate::bf16::{bf16_bits_to_f32, f32_to_bf16_bits, round_f32_to_bf16};
 use crate::dtype::DType;
 use crate::fp16::{f16_bits_to_f32, f32_to_f16_bits, round_f32_to_f16};
 
+/// The INT8 quantizer's integer for `value`: round half away from zero,
+/// saturate to `[-128, 127]`, NaN to 0, without a `round` library call.
+/// Clamping first keeps the value in `i32` range and its fractional part
+/// exact in `f32`; a NaN survives the clamp, truncates to 0 and fails both
+/// comparisons.
+///
+/// [`Quantizer::quantize`], [`Quantizer::encode`] and the encoded operand
+/// plane all round INT8 through this one function, so they cannot drift
+/// apart.
+#[inline(always)]
+pub fn f32_to_i8(value: f32) -> i8 {
+    let v = value.clamp(-129.0, 128.0);
+    let t = v as i32;
+    let frac = v - t as f32;
+    let r = t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5);
+    r.clamp(-128, 127) as i8
+}
+
 /// Which accumulator a pipeline uses during the K-reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccumKind {
@@ -60,22 +78,18 @@ impl Quantizer {
     /// Round a logical `f32` to the nearest representable value.
     ///
     /// INT8 rounds half-away-from-zero (matching C++ `lrintf` semantics
-    /// under default rounding for the paper's value ranges) and saturates
-    /// to `[-128, 127]`.
+    /// under default rounding for the paper's value ranges), saturates to
+    /// `[-128, 127]` and sends NaN to +0.0, all through [`f32_to_i8`].
     #[inline]
     pub fn quantize(self, value: f32) -> f32 {
         match self.dtype {
             DType::Fp32 => value,
             DType::Fp16 | DType::Fp16Tensor => round_f32_to_f16(value),
             DType::Bf16 => round_f32_to_bf16(value),
-            DType::Int8 => {
-                let r = value.round().clamp(-128.0, 127.0);
-                if r.is_nan() {
-                    0.0
-                } else {
-                    r
-                }
-            }
+            DType::Int8 if value.is_nan() => 0.0,
+            // A non-zero result already has the input's sign; `copysign`
+            // keeps `round`'s −0.0 for inputs in (−0.5, −0].
+            DType::Int8 => f32::from(f32_to_i8(value)).copysign(value),
         }
     }
 
@@ -87,10 +101,7 @@ impl Quantizer {
             DType::Fp32 => u64::from(value.to_bits()),
             DType::Fp16 | DType::Fp16Tensor => u64::from(f32_to_f16_bits(value)),
             DType::Bf16 => u64::from(f32_to_bf16_bits(value)),
-            DType::Int8 => {
-                let q = self.quantize(value) as i32 as i8;
-                u64::from(q as u8)
-            }
+            DType::Int8 => u64::from(f32_to_i8(value) as u8),
         }
     }
 

@@ -119,9 +119,22 @@ pub fn f16_bits_to_f32(bits: u16) -> f32 {
 
 /// Round an `f32` to the nearest binary16-representable value, returned as
 /// `f32` (the "numeric conversion" the paper applies to FP16 inputs).
+///
+/// Bit-identical to `f16_bits_to_f32(f32_to_f16_bits(value))`. A value
+/// whose f32 exponent lands in binary16's normal range without reaching
+/// its top binade (biased 113..=141) rounds to nearest-even directly on
+/// its f32 bits, dropping the 13 mantissa bits binary16 lacks (a carry
+/// into the exponent is the correct round-up and stays finite). Zeros,
+/// subnormals, the overflow binade, infinities and NaNs take the codec.
 #[inline]
 pub fn round_f32_to_f16(value: f32) -> f32 {
-    f16_bits_to_f32(f32_to_f16_bits(value))
+    let bits = value.to_bits();
+    let exp = (bits >> 23) & 0xFF;
+    if exp.wrapping_sub(113) <= 141 - 113 {
+        f32::from_bits((bits + 0x0FFF + ((bits >> 13) & 1)) & !0x1FFF)
+    } else {
+        f16_bits_to_f32(f32_to_f16_bits(value))
+    }
 }
 
 /// Multiply two values in binary16 precision: convert to half, multiply in

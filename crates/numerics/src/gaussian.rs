@@ -10,8 +10,22 @@
 //! We use the Marsaglia polar method on the workspace PRNG: exact, fast,
 //! and bit-deterministic for a fixed seed, which external distribution
 //! crates do not guarantee across versions.
+//!
+//! **Exactness contract.** [`Gaussian::fill`] is the batched form of
+//! repeated [`Gaussian::sample_f32`] calls and is bit-identical to them:
+//! for any buffer length, pending spare and RNG state it writes the same
+//! `f32` bits, leaves the [`Xoshiro256pp`] in the same end state, and
+//! leaves the same spare variate pending. It draws the candidate pairs in
+//! the same order (rejections included) and applies the same
+//! `ln`/`sqrt`/division formula to each accepted pair; only the loop shape
+//! differs (candidates are compacted branch-free, then transformed in a
+//! separate pass).
 
 use wm_bits::Xoshiro256pp;
+
+/// Accepted polar pairs [`Gaussian::fill`] collects before transforming
+/// them (a 4 KiB stack buffer).
+const PAIR_BATCH: usize = 256;
 
 /// A Gaussian (normal) distribution sampler with cached spare variate.
 #[derive(Debug, Clone)]
@@ -83,10 +97,51 @@ impl Gaussian {
         self.sample(rng) as f32
     }
 
-    /// Fill a buffer with independent variates.
+    /// Fill a buffer with independent variates: bit-identical to calling
+    /// [`Self::sample_f32`] once per slot, including the RNG end state and
+    /// the spare left pending for an odd count.
+    ///
+    /// Accepted `(u, v)` pairs are collected 256 at a time: each candidate
+    /// is written at the next free slot and the cursor advances by its
+    /// acceptance bit, so the rejection test is data, not a mispredicted
+    /// branch. A batch never draws more candidates than pairs it still
+    /// needs, so no draw happens that the per-call loop would not make.
+    /// The transform pass then runs the unchanged polar formula.
     pub fn fill(&mut self, rng: &mut Xoshiro256pp, out: &mut [f32]) {
-        for slot in out {
-            *slot = self.sample_f32(rng);
+        let mut out = out;
+        if let Some(first) = out.first_mut() {
+            if let Some(z) = self.spare.take() {
+                *first = (self.mean + self.std * z) as f32;
+                out = &mut out[1..];
+            }
+        }
+        let mut pairs = [(0.0f64, 0.0f64); PAIR_BATCH];
+        for chunk in out.chunks_mut(2 * PAIR_BATCH) {
+            let need = chunk.len().div_ceil(2);
+            let mut got = 0;
+            while got < need {
+                for _ in 0..need - got {
+                    let u = 2.0 * rng.next_f64() - 1.0;
+                    let v = 2.0 * rng.next_f64() - 1.0;
+                    let s = u * u + v * v;
+                    pairs[got] = (u, v);
+                    got += usize::from((s > 0.0) & (s < 1.0));
+                }
+            }
+            let mut slots = chunk.chunks_exact_mut(2);
+            for (slot, &(u, v)) in slots.by_ref().zip(&pairs) {
+                let s = u * u + v * v;
+                let factor = (-2.0 * s.ln() / s).sqrt();
+                slot[0] = (self.mean + self.std * (u * factor)) as f32;
+                slot[1] = (self.mean + self.std * (v * factor)) as f32;
+            }
+            if let [last] = slots.into_remainder() {
+                let (u, v) = pairs[need - 1];
+                let s = u * u + v * v;
+                let factor = (-2.0 * s.ln() / s).sqrt();
+                *last = (self.mean + self.std * (u * factor)) as f32;
+                self.spare = Some(v * factor);
+            }
         }
     }
 }
@@ -178,6 +233,33 @@ mod tests {
         g1.fill(&mut r1, &mut buf);
         for &b in &buf {
             assert_eq!(b, g2.sample_f32(&mut r2));
+        }
+        // Every length around the batch size, odd and even, entered with
+        // and without a pending spare, leaves the same bits, RNG state and
+        // spare as the per-call loop.
+        let lens = [0, 1, 2, 3, 63, 64, 65, 511, 512, 513, 1025, 4097];
+        for &len in &lens {
+            for pre in [0usize, 1, 2] {
+                let mut r1 = Xoshiro256pp::seed_from_u64(len as u64 * 3 + pre as u64);
+                let mut r2 = r1;
+                let mut g1 = Gaussian::new(-1.5, 210.0);
+                let mut g2 = g1.clone();
+                for _ in 0..pre {
+                    assert_eq!(g1.sample(&mut r1).to_bits(), g2.sample(&mut r2).to_bits());
+                }
+                let mut buf = vec![0.0f32; len];
+                g1.fill(&mut r1, &mut buf);
+                for (i, &b) in buf.iter().enumerate() {
+                    let want = g2.sample_f32(&mut r2);
+                    assert_eq!(b.to_bits(), want.to_bits(), "len {len} pre {pre} slot {i}");
+                }
+                assert_eq!(r1, r2, "RNG end state, len {len} pre {pre}");
+                assert_eq!(
+                    g1.spare.map(f64::to_bits),
+                    g2.spare.map(f64::to_bits),
+                    "spare, len {len} pre {pre}"
+                );
+            }
         }
     }
 

@@ -31,7 +31,7 @@ pub mod fp16;
 pub mod gaussian;
 
 pub use bf16::{bf16_bits_to_f32, f32_to_bf16_bits};
-pub use codec::{AccumKind, Quantizer};
+pub use codec::{f32_to_i8, AccumKind, Quantizer};
 pub use dtype::DType;
 pub use fp16::{f16_bits_to_f32, f32_to_f16_bits};
 pub use gaussian::Gaussian;

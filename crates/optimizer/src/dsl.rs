@@ -31,8 +31,8 @@ use wm_bits::Xoshiro256pp;
 use wm_gpu::GpuSpec;
 use wm_kernels::{simulate, GemmConfig, GemmInputs, Sampling};
 use wm_matrix::Matrix;
-use wm_numerics::{DType, Gaussian, Quantizer};
-use wm_patterns::{bit_similarity, placement, sparsity};
+use wm_numerics::{DType, Quantizer};
+use wm_patterns::{bit_similarity, distribution, placement, sparsity};
 use wm_power::{evaluate, PowerBreakdown};
 
 /// One pipeline step.
@@ -205,16 +205,17 @@ impl PatternProgram {
         let mut m = Matrix::zeros(rows, cols);
         for step in &self.steps {
             match *step {
-                Step::Gaussian { mean, std } => {
-                    let mut g = Gaussian::new(mean, std.unwrap_or(default_std));
-                    m.map_in_place(|_| q.quantize(g.sample_f32(rng)));
-                }
+                Step::Gaussian { mean, std } => distribution::fill_gaussian(
+                    m.as_mut_slice(),
+                    mean,
+                    std.unwrap_or(default_std),
+                    dtype,
+                    rng,
+                ),
                 Step::Constant(v) => m.map_in_place(|_| q.quantize(v as f32)),
                 Step::ValueSet(n) => {
-                    let mut g = Gaussian::new(0.0, default_std);
-                    let set: Vec<f32> = (0..n.max(1))
-                        .map(|_| q.quantize(g.sample_f32(rng)))
-                        .collect();
+                    let mut set = vec![0.0f32; n.max(1)];
+                    distribution::fill_gaussian(&mut set, 0.0, default_std, dtype, rng);
                     m.map_in_place(|_| set[rng.next_bounded(set.len())]);
                 }
                 Step::SortRows(f) => placement::sort_into_rows(&mut m, f),

@@ -14,40 +14,40 @@
 //! decode/encode round trip except for quietization of signaling NaNs,
 //! which flips one additional (already random) bit.
 
-use wm_bits::{BitSurgeon, Xoshiro256pp};
+use crate::words::rewrite_words;
+use wm_bits::{BernoulliMask, BitSurgeon, Xoshiro256pp};
 use wm_matrix::Matrix;
-use wm_numerics::{DType, Quantizer};
-
-/// Apply an encoding-level transform to every element of a matrix.
-fn rewrite_bits(m: &mut Matrix, dtype: DType, mut f: impl FnMut(u64, &BitSurgeon) -> u64) {
-    let q = Quantizer::new(dtype);
-    let surgeon = BitSurgeon::new(dtype.bits());
-    m.map_in_place(|v| {
-        let bits = q.encode(v);
-        q.decode(f(bits, &surgeon))
-    });
-}
+use wm_numerics::DType;
 
 /// Flip each bit of each element independently with probability
 /// `flip_prob` (Fig. 4a).
+///
+/// Each element XORs one [`BernoulliMask`] sample (16 draws, none when the
+/// probability rounds to 0 or 1) restricted to the dtype's width.
 pub fn flip_random_bits(m: &mut Matrix, dtype: DType, flip_prob: f64, rng: &mut Xoshiro256pp) {
     assert!(
         (0.0..=1.0).contains(&flip_prob),
         "flip probability {flip_prob} outside [0, 1]"
     );
-    rewrite_bits(m, dtype, |bits, s| s.flip_random_bits(bits, flip_prob, rng));
+    let plan = BernoulliMask::new(flip_prob);
+    let width = u64::MAX >> (64 - dtype.bits());
+    rewrite_words(m, dtype, |w| w ^ (plan.sample(rng) & width));
 }
 
 /// Replace the `count` least-significant bits of each element's encoding
-/// with uniform random bits (Fig. 4b).
+/// with uniform random bits (Fig. 4b). Each element takes one draw, even
+/// when `count` is 0.
 pub fn randomize_lsbs(m: &mut Matrix, dtype: DType, count: u32, rng: &mut Xoshiro256pp) {
-    rewrite_bits(m, dtype, |bits, s| s.randomize_lsbs(bits, count, rng));
+    let s = BitSurgeon::new(dtype.bits());
+    rewrite_words(m, dtype, |w| s.randomize_lsbs(w, count, rng));
 }
 
 /// Replace the `count` most-significant bits of each element's encoding
-/// with uniform random bits (Fig. 4c).
+/// with uniform random bits (Fig. 4c). Each element takes one draw, even
+/// when `count` is 0.
 pub fn randomize_msbs(m: &mut Matrix, dtype: DType, count: u32, rng: &mut Xoshiro256pp) {
-    rewrite_bits(m, dtype, |bits, s| s.randomize_msbs(bits, count, rng));
+    let s = BitSurgeon::new(dtype.bits());
+    rewrite_words(m, dtype, |w| s.randomize_msbs(w, count, rng));
 }
 
 #[cfg(test)]
@@ -55,6 +55,7 @@ mod tests {
     use super::*;
     use crate::distribution::constant_random_matrix;
     use wm_bits::hamming_distance;
+    use wm_numerics::Quantizer;
 
     fn rng(seed: u64) -> Xoshiro256pp {
         Xoshiro256pp::seed_from_u64(seed)

@@ -14,9 +14,27 @@ pub fn gaussian_matrix(
     dtype: DType,
     rng: &mut Xoshiro256pp,
 ) -> Matrix {
+    let mut m = Matrix::zeros(rows, cols);
+    fill_gaussian(m.as_mut_slice(), mean, std, dtype, rng);
+    m
+}
+
+/// Overwrite `values` with Gaussian variates quantized to `dtype`: one
+/// batched fill, then one quantize pass — bit-identical to quantizing each
+/// `sample_f32`, with the same draws. Every Gaussian operand, value set
+/// and pattern-program step is made here.
+pub fn fill_gaussian(
+    values: &mut [f32],
+    mean: f64,
+    std: f64,
+    dtype: DType,
+    rng: &mut Xoshiro256pp,
+) {
+    Gaussian::new(mean, std).fill(rng, values);
     let q = Quantizer::new(dtype);
-    let mut g = Gaussian::new(mean, std);
-    Matrix::from_fn(rows, cols, |_, _| q.quantize(g.sample_f32(rng)))
+    for v in values {
+        *v = q.quantize(*v);
+    }
 }
 
 /// Fill a matrix by sampling uniformly **with replacement** from a set of
@@ -40,11 +58,8 @@ pub fn value_set_matrix(
     rng: &mut Xoshiro256pp,
 ) -> Matrix {
     assert!(set_size > 0, "value set must be non-empty");
-    let q = Quantizer::new(dtype);
-    let mut g = Gaussian::new(mean, std);
-    let set: Vec<f32> = (0..set_size)
-        .map(|_| q.quantize(g.sample_f32(rng)))
-        .collect();
+    let mut set = vec![0.0f32; set_size];
+    fill_gaussian(&mut set, mean, std, dtype, rng);
     Matrix::from_fn(rows, cols, |_, _| set[rng.next_bounded(set.len())])
 }
 

@@ -21,6 +21,23 @@
 //!
 //! Bit-level transforms (flips, LSB/MSB randomization and zeroing) operate
 //! on the dtype's raw encodings via `wm-bits` surgery and decode back.
+//!
+//! ## Exactness contract
+//!
+//! [`PatternSpec::generate`] is a pure function of its spec, dtype, shape
+//! and RNG state, fixed down to the bit: for every pattern kind and
+//! parameter it returns the same matrix (`to_bits()` equal, NaN payloads
+//! included) and leaves the [`wm_bits::Xoshiro256pp`] in the same end
+//! state as the per-element reference — one polar `sample_f32` and one
+//! scalar `Quantizer::quantize` per element, a per-element `BitSurgeon`
+//! rewrite, `choose_indices`, and an index-select partial sort. Cached
+//! answers, learned models and the paper-figure tests all depend on those
+//! bits. The whole-matrix passes that do the work (a batched Gaussian
+//! fill and quantize pass, per-dtype word passes, a plan-once Bernoulli
+//! mask, a radix-sorted placement prefix, a `u32` partial Fisher–Yates)
+//! therefore draw the same randomness in the same order.
+//! `tests/reference_equivalence.rs` holds the per-element reference and
+//! checks both outputs and RNG end states against it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,5 +47,6 @@ pub mod distribution;
 pub mod placement;
 pub mod sparsity;
 pub mod spec;
+mod words;
 
 pub use spec::{PatternKind, PatternSpec};

@@ -29,39 +29,7 @@ use wm_matrix::Matrix;
 /// fully sorted ascending. Ties at the selection boundary are broken by
 /// original index, so the function is fully deterministic.
 pub fn sort_lowest_fraction(data: &mut [f32], fraction: f64) {
-    let n = data.len();
-    let k = (fraction.clamp(0.0, 1.0) * n as f64).round() as usize;
-    if k == 0 || n == 0 {
-        return;
-    }
-    if k >= n {
-        data.sort_unstable_by(f32::total_cmp);
-        return;
-    }
-    // Select the k lowest (value, index) pairs.
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    idx.select_nth_unstable_by(k - 1, |&i, &j| {
-        data[i as usize]
-            .total_cmp(&data[j as usize])
-            .then(i.cmp(&j))
-    });
-    let mut chosen = vec![false; n];
-    for &i in &idx[..k] {
-        chosen[i as usize] = true;
-    }
-    // Gather: chosen values sorted ascending, the rest in original order.
-    let mut low: Vec<f32> = Vec::with_capacity(k);
-    let mut rest: Vec<f32> = Vec::with_capacity(n - k);
-    for (i, &v) in data.iter().enumerate() {
-        if chosen[i] {
-            low.push(v);
-        } else {
-            rest.push(v);
-        }
-    }
-    low.sort_unstable_by(f32::total_cmp);
-    data[..k].copy_from_slice(&low);
-    data[k..].copy_from_slice(&rest);
+    PartialSorter::default().sort(data, fraction);
 }
 
 /// Partially sort a matrix in row-major index order (Fig. 5a/5b pattern).
@@ -79,8 +47,143 @@ pub fn sort_into_cols(m: &mut Matrix, fraction: f64) {
 
 /// Partially sort each row independently (Fig. 5d pattern).
 pub fn sort_within_rows(m: &mut Matrix, fraction: f64) {
+    let mut sorter = PartialSorter::default();
     for r in 0..m.rows() {
-        sort_lowest_fraction(m.row_mut(r), fraction);
+        sorter.sort(m.row_mut(r), fraction);
+    }
+}
+
+/// Below this many keys a comparison sort of the `u32` keys beats the
+/// radix sort's three 2048-bucket histograms (the crossover measured on
+/// Gaussian FP32 keys on a 2-vCPU x86-64 host).
+const RADIX_MIN: usize = 1024;
+
+/// The `f32::total_cmp` order as an unsigned key: positives get the sign
+/// bit set, negatives have every bit inverted. The map is a bijection, so
+/// equal keys are equal bits and any sort of the keys is *the* sort.
+#[inline(always)]
+fn sort_key(v: f32) -> u32 {
+    let b = v.to_bits();
+    b ^ ((((b as i32) >> 31) as u32) | 0x8000_0000)
+}
+
+/// Inverse of [`sort_key`].
+#[inline(always)]
+fn from_key(k: u32) -> f32 {
+    f32::from_bits(k ^ ((((!k as i32) >> 31) as u32) | 0x8000_0000))
+}
+
+/// Scratch buffers for partial sorts, reused across the rows of a matrix.
+#[derive(Default)]
+struct PartialSorter {
+    /// The slice's keys in index order.
+    keys: Vec<u32>,
+    /// A copy for selection, then the unselected keys in index order.
+    rest: Vec<u32>,
+    /// The selected keys, then sorted.
+    low: Vec<u32>,
+    /// The radix sort's ping-pong buffer.
+    scratch: Vec<u32>,
+}
+
+impl PartialSorter {
+    /// [`sort_lowest_fraction`] on `data`.
+    ///
+    /// The `k` lowest `(value, index)` pairs are every key below the
+    /// `k`-th smallest key `t` plus the first `k - below` keys equal to
+    /// `t` in index order. One branch-free pass writes each key to both
+    /// the low and the rest buffer and advances one cursor; the low keys
+    /// are then sorted.
+    fn sort(&mut self, data: &mut [f32], fraction: f64) {
+        let n = data.len();
+        let k = (fraction.clamp(0.0, 1.0) * n as f64).round() as usize;
+        if k == 0 || n == 0 {
+            return;
+        }
+        self.keys.clear();
+        self.keys.extend(data.iter().map(|&v| sort_key(v)));
+        if k >= n {
+            radix_sort(&mut self.keys, &mut self.scratch);
+            for (d, &key) in data.iter_mut().zip(&self.keys) {
+                *d = from_key(key);
+            }
+            return;
+        }
+        self.rest.clear();
+        self.rest.extend_from_slice(&self.keys);
+        let t = *self.rest.select_nth_unstable(k - 1).1;
+        let below = self.keys.iter().filter(|&&key| key < t).count();
+        let mut ties = k - below;
+        // One slot of slack each: a key is written before its cursor moves.
+        self.rest.resize(n - k + 1, 0);
+        self.low.clear();
+        self.low.resize(k + 1, 0);
+        let (mut lo, mut hi) = (0, 0);
+        for &key in &self.keys {
+            let eq = key == t;
+            let take = (key < t) | (eq & (ties > 0));
+            ties -= usize::from(eq & take);
+            self.low[lo] = key;
+            self.rest[hi] = key;
+            lo += usize::from(take);
+            hi += usize::from(!take);
+        }
+        self.low.truncate(k);
+        radix_sort(&mut self.low, &mut self.scratch);
+        let (head, tail) = data.split_at_mut(k);
+        for (d, &key) in head.iter_mut().zip(&self.low) {
+            *d = from_key(key);
+        }
+        for (d, &key) in tail.iter_mut().zip(&self.rest) {
+            *d = from_key(key);
+        }
+    }
+}
+
+/// Sort `keys` ascending: LSD radix sort over three 11-bit digits (all
+/// three histograms in one counting pass), skipping a digit every key
+/// shares — FP16 and INT8 values leave the low digit zero. Short inputs
+/// use a comparison sort.
+fn radix_sort(keys: &mut [u32], scratch: &mut Vec<u32>) {
+    const BITS: u32 = 11;
+    const MASK: u32 = (1 << BITS) - 1;
+    let n = keys.len();
+    if n < RADIX_MIN {
+        keys.sort_unstable();
+        return;
+    }
+    let mut counts = [[0u32; 1 << BITS]; 3];
+    for &key in keys.iter() {
+        counts[0][(key & MASK) as usize] += 1;
+        counts[1][((key >> BITS) & MASK) as usize] += 1;
+        counts[2][(key >> (2 * BITS)) as usize] += 1;
+    }
+    scratch.clear();
+    scratch.resize(n, 0);
+    let (mut src, mut dst) = (keys, scratch.as_mut_slice());
+    let mut moved = false;
+    for (d, offsets) in counts.iter_mut().enumerate() {
+        if offsets.iter().any(|&c| c as usize == n) {
+            continue;
+        }
+        let mut sum = 0;
+        for o in offsets.iter_mut() {
+            let count = *o;
+            *o = sum;
+            sum += count;
+        }
+        let shift = BITS * d as u32;
+        for &key in src.iter() {
+            let b = ((key >> shift) & MASK) as usize;
+            dst[offsets[b] as usize] = key;
+            offsets[b] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+        moved = !moved;
+    }
+    if moved {
+        // The sorted keys sit in the scratch buffer.
+        dst.copy_from_slice(src);
     }
 }
 

@@ -4,9 +4,10 @@
 //! no sparse kernels are involved; zeros flow through the same datapath and
 //! save power only through reduced switching (and zero-operand gating).
 
+use crate::words::rewrite_words;
 use wm_bits::{BitSurgeon, Xoshiro256pp};
 use wm_matrix::Matrix;
-use wm_numerics::{DType, Quantizer};
+use wm_numerics::DType;
 
 /// Zero an exact `sparsity` fraction of elements, chosen uniformly at
 /// random without replacement (Fig. 6a/6b).
@@ -16,7 +17,8 @@ use wm_numerics::{DType, Quantizer};
 ///
 /// # Panics
 ///
-/// Panics if `sparsity` is outside `[0, 1]`.
+/// Panics if `sparsity` is outside `[0, 1]`, or if the matrix has more
+/// elements than `u32` can index.
 pub fn apply_sparsity(m: &mut Matrix, sparsity: f64, rng: &mut Xoshiro256pp) {
     assert!(
         (0.0..=1.0).contains(&sparsity),
@@ -26,31 +28,29 @@ pub fn apply_sparsity(m: &mut Matrix, sparsity: f64, rng: &mut Xoshiro256pp) {
     let k = (sparsity * n as f64).round() as usize;
     let data = m.as_mut_slice();
     for idx in rng.choose_indices(n, k) {
-        data[idx] = 0.0;
+        data[idx as usize] = 0.0;
     }
 }
 
 /// Zero the `count` least-significant bits of every element's encoding
 /// (Fig. 6c: "sparsity in least significant bits").
 pub fn zero_lsbs(m: &mut Matrix, dtype: DType, count: u32) {
-    let q = Quantizer::new(dtype);
     let s = BitSurgeon::new(dtype.bits());
-    m.map_in_place(|v| q.decode(s.zero_lsbs(q.encode(v), count)));
+    rewrite_words(m, dtype, |w| s.zero_lsbs(w, count));
 }
 
 /// Zero the `count` most-significant bits of every element's encoding
 /// (Fig. 6d: "sparsity in most significant bits").
 pub fn zero_msbs(m: &mut Matrix, dtype: DType, count: u32) {
-    let q = Quantizer::new(dtype);
     let s = BitSurgeon::new(dtype.bits());
-    m.map_in_place(|v| q.decode(s.zero_msbs(q.encode(v), count)));
+    rewrite_words(m, dtype, |w| s.zero_msbs(w, count));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wm_bits::hamming_weight;
-    use wm_numerics::Gaussian;
+    use wm_numerics::{Gaussian, Quantizer};
 
     fn rng(seed: u64) -> Xoshiro256pp {
         Xoshiro256pp::seed_from_u64(seed)
